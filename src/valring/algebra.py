@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     MalformedDivisor,
@@ -269,10 +270,7 @@ class UniPoly:
         return UniPoly(tuple(j * c for j, c in enumerate(self.coeffs) if j >= 1))
 
     def denominator_lcm(self) -> int:
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // _gcd(d, c.denominator)
-        return d
+        return lcm(*(c.denominator for c in self.coeffs))
 
     @staticmethod
     def _coerce(other) -> "UniPoly":
@@ -297,12 +295,6 @@ class UniPoly:
             else:
                 parts.append(f"{c}*x^{j}" if c != 1 else f"x^{j}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def qexpand(f: UniPoly, q: UniPoly):
@@ -466,12 +458,16 @@ class OracleValue:
         return hash((self.value, self.method))
 
 
-def nu_oracle(ctx: ValuedFieldCtx, g: UniPoly, branch: BranchDescriptor, h: UniPoly) -> OracleValue:
+def nu_oracle(ctx: ValuedFieldCtx, g: UniPoly, branch: BranchDescriptor, h: UniPoly,
+              root_cache: dict | None = None) -> OracleValue:
     """v(h(eta)) for the branch, by a certified method.
 
     Resultant method: v_p(Res(g, h)) / deg g, valid only when the extension
     of v to L is unique.  Hensel method: v_p(h(r)) at a root approximation r
     of certified precision.  Returns INF exactly when g divides h.
+
+    root_cache, when given, keeps the deepest Hensel root approximation of
+    the branch under "hensel_root" across calls; it never changes a result.
     """
     if not g.is_monic or g.degree < 1:
         raise MalformedInput("g must be monic nonconstant")
@@ -485,30 +481,36 @@ def nu_oracle(ctx: ValuedFieldCtx, g: UniPoly, branch: BranchDescriptor, h: UniP
         r = resultant(g, h)
         return OracleValue(Fraction(pval(ctx, r), g.degree), "resultant")
     if branch.kind == "hensel":
-        return OracleValue(_nu_hensel(ctx, g, branch.seed, h), "hensel")
+        cache = {} if root_cache is None else root_cache
+        return OracleValue(_nu_hensel(ctx, g, branch.seed, h, cache), "hensel")
     raise OracleUnavailable(f"no certified method for branch {branch.kind!r}")
 
 
-def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly):
-    p = ctx.p
+def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
+               cache: dict):
     dh = h.denominator_lcm()
     hh = h * dh
     # certification bound: v(H(eta)) <= v_p(Res(g, H)) since the other
     # conjugates contribute nonnegative valuation
     bound = pval(ctx, resultant(g, hh))
-    if bound is INF:  # cannot happen: h % g != 0
-        raise OracleUnavailable("resultant bound degenerate")
+    if bound is INF:
+        # g is reducible and shares a factor with h although h % g != 0
+        raise OracleUnavailable("resultant bound degenerate: g and h share a factor")
     margin = 2
-    n = max(seed.precision + 2, 8)
     cap = int(bound) + margin + 8
+    root = cache.get("hensel_root")
+    if root is None:
+        root = hensel_root(ctx, g, seed, max(seed.precision + 2, 8))
+    n = root.precision
     while True:
-        r = hensel_root(ctx, g, seed, n)
-        val = pval(ctx, hh(r.value))
+        if root.precision < n:
+            root = hensel_root(ctx, g, root, n)
+        cache["hensel_root"] = root
+        val = pval(ctx, hh(root.value))
         if val is not INF and val < n - margin:
             return val - pval(ctx, Fraction(dh))
         if n > cap:
-            # h(eta) has valuation exceeding its certified bound: g | h
-            raise NoConvergence("valuation exceeds certified bound")
+            raise OracleUnavailable("valuation exceeds its certified bound")
         n = 2 * n
 
 
@@ -649,15 +651,6 @@ class ResidueField:
         while cs and self.is_zero(cs[-1]):
             cs.pop()
         return tuple(cs)
-
-    def poly_mul(self, f, g):
-        if not f or not g:
-            return ()
-        out = [self.zero] * (len(f) + len(g) - 1)
-        for i, a in enumerate(f):
-            for j, b in enumerate(g):
-                out[i + j] = self.add(out[i + j], self.mul(a, b))
-        return self.poly_norm(out)
 
     def poly_divmod(self, f, g):
         f = list(f)

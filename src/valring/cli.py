@@ -2,7 +2,9 @@
 rewriting, probing and certificate workflows from JSON config files.
 
 Exit status 0 on success, 2 on mathematical rejection (ramified branch,
-not-in-ideal, ambiguous branch, insufficient depth), 1 on malformed input.
+not-in-ideal, ambiguous branch, insufficient depth, oracle unavailable, no
+convergence), 1 on malformed input, which includes JSON floats and positions
+or exponents that are not non-negative JSON integers.
 """
 
 from __future__ import annotations
@@ -43,10 +45,20 @@ def fmt_value(v) -> str:
 def parse_value(s):
     if s == "inf":
         return INF
+    if isinstance(s, float):
+        raise MalformedInput(
+            f"JSON float {s!r} is not exact: write it as an integer or a string")
     try:
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedInput(f"bad rational {s!r}: {e}")
+
+
+def _parse_index(x, what: str, least: int = 0) -> int:
+    """A JSON integer >= least (JSON true and false are not integers)."""
+    if type(x) is not int or x < least:
+        raise MalformedInput(f"{what} must be an integer >= {least}, got {x!r}")
+    return x
 
 
 def fmt_unipoly(u: UniPoly):
@@ -69,10 +81,16 @@ def parse_xpoly(arr) -> XPoly:
         raise MalformedInput("xpoly must be a term array")
     terms = []
     for item in arr:
-        if not isinstance(item, dict) or set(item) != {"c", "e"}:
+        if not isinstance(item, dict) or set(item) != {"c", "e"} \
+                or not isinstance(item["e"], dict):
             raise MalformedInput(f"bad xpoly term {item!r}")
-        mono = tuple(sorted((int(k), int(v)) for k, v in item["e"].items()))
-        terms.append((mono, parse_value(item["c"])))
+        mono = []
+        for k, v in item["e"].items():
+            # JSON object keys are strings
+            if not (k.isascii() and k.isdigit()):
+                raise MalformedInput(f"variable position must be an integer >= 0, got {k!r}")
+            mono.append((int(k), _parse_index(v, "exponent", 1)))
+        terms.append((tuple(sorted(mono)), parse_value(item["c"])))
     return XPoly(terms)
 
 
@@ -106,15 +124,22 @@ class JobConfig:
             if not isinstance(branch, list) or not all(
                     isinstance(x, list) and len(x) == 2 for x in branch):
                 raise MalformedInput("branch must be \"unique\" or a list of index pairs")
+            for pick in branch:
+                for x in pick:
+                    _parse_index(x, "branch pick")
         self.branch = branch
         self.depth = doc.get("depth", 16)
-        if not isinstance(self.depth, int) or self.depth < 1:
+        if type(self.depth) is not int or self.depth < 1:
             raise MalformedInput("depth must be a positive integer")
         self.mode = doc.get("mode", "full")
         if self.mode not in ("full", "collapsed"):
             raise MalformedInput(f"unknown mode {self.mode!r}")
         self.payload = doc.get("payload", {})
+        if not isinstance(self.payload, dict):
+            raise MalformedInput("payload must be an object")
         self.seed = doc.get("seed", 0)
+        if type(self.seed) is not int:
+            raise MalformedInput(f"seed must be an integer, got {self.seed!r}")
 
     def chain(self) -> KeyChain:
         return build_chain(self.ctx, self.g, self.branch, self.depth, self.mode)
@@ -206,7 +231,7 @@ def run(command: str, config: JobConfig, trace: bool = False) -> dict:
     if command == "expand":
         f = parse_unipoly(_payload_field(config, "poly"))
         anchor = _payload_field(config, "anchor")
-        exp = full_expansion(chain, int(anchor), f)
+        exp = full_expansion(chain, _parse_index(anchor, "anchor"), f)
         return {
             "anchor": exp.anchor,
             "terms": fmt_xpoly(exp.as_xpoly()),
@@ -217,12 +242,15 @@ def run(command: str, config: JobConfig, trace: bool = False) -> dict:
         F = parse_xpoly(_payload_field(config, "xpoly"))
         steps = [] if trace else None
         if "pair" in config.payload:
-            i, ell = config.payload["pair"]
+            pair = config.payload["pair"]
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise MalformedInput(f"pair must be [i, ell], got {pair!r}")
+            i, ell = (_parse_index(x, "pair position") for x in pair)
             op = building if command == "build" else reduction
-            out = op(chain, F, int(i), int(ell), steps)
+            out = op(chain, F, i, ell, steps)
             doc = {"result": fmt_xpoly(out)}
         elif command == "build":
-            s = int(_payload_field(config, "s"))
+            s = _parse_index(_payload_field(config, "s"), "s")
             out = total_s_building(chain, F, s, steps)
             neat = is_neat(chain, out)
             doc = {"result": fmt_xpoly(out), "neat": neat.neat, "level": neat.level}

@@ -18,11 +18,7 @@ RECURSIVE = "recursive"
 
 
 def _coeff_value(chain: KeyChain, f: UniPoly, method: str):
-    if f.is_zero:
-        return INF
-    if f.degree == 0:
-        return pval(chain.ctx, f.coeffs[0])
-    if method == RECURSIVE:
+    if method == RECURSIVE or f.degree == 0:
         return chain.value_below(len(chain.entries) - 1, f)
     return chain.nu(f).value
 
@@ -108,70 +104,22 @@ def _pick_common_position(chain: KeyChain, below_plateau: int, polys):
         "the truncated plateau is too shallow")
 
 
-def full_expansion(chain: KeyChain, i: int, f: UniPoly) -> FullExpansion:
-    """Constructive full i-th expansion: expand in Qt_i, then cascade the
-    coefficients through one common position per lower plateau."""
-    if f.is_zero:
-        raise MalformedInput("no full expansion of zero")
-    ent = chain.entry(i)
-    if i not in chain.star_positions or not is_finite(ent.gamma):
-        raise MalformedInput("anchor must be a pre-maximal position")
-    seg = segment(chain)
-    pending = []
-    for j, cj in enumerate(_qexpand_any(f, ent.Qt)):
-        if not cj.is_zero:
-            pending.append((cj, {i: j} if j else {}))
-    level_pos = i
-    while any(c.degree >= 1 for c, _ in pending):
-        nonconst = [c for c, _ in pending if c.degree >= 1]
-        k = _pick_common_position(chain, seg.q_of[level_pos], nonconst)
-        nxt = []
-        for c, mono in pending:
-            if c.degree == 0:
-                nxt.append((c, mono))
-                continue
-            for j, d in enumerate(_qexpand_any(c, chain.entries[k].Qt)):
-                if d.is_zero:
-                    continue
-                m2 = dict(mono)
-                if j:
-                    m2[k] = j
-                nxt.append((d, m2))
-        pending = nxt
-        level_pos = k
-    terms = {}
+def _cascade(chain: KeyChain, pending, k: int):
+    """One cascade step: expand every nonconstant coefficient of the
+    (coefficient, exponent map) pairs in Qt_k, recording the exponent of X_k."""
+    nxt = []
     for c, mono in pending:
-        m = monom(mono)
-        terms[m] = terms.get(m, Fraction(0)) + c.coeffs[0]
-    items = tuple(sorted(((c, m) for m, c in terms.items() if c != 0),
-                         key=lambda cm: cm[1]))
-    nu_val = min(pval(chain.ctx, c) for c, _ in items)
-    appearing = sorted({k for _, m in items for k, e in m if e > 0}, reverse=True)
-    return FullExpansion(i, items, nu_val, tuple(appearing))
+        if c.degree == 0:
+            nxt.append((c, mono))
+            continue
+        for j, d in enumerate(_qexpand_any(c, chain.entries[k].Qt)):
+            if not d.is_zero:
+                nxt.append((d, {**mono, k: j} if j else mono))
+    return nxt
 
 
-def expansion_from_index_tuple(chain: KeyChain, f: UniPoly, anchor: int,
-                               index_tuple) -> FullExpansion:
-    """Reproduce an expansion from its appearing-index tuple: a pure cascade
-    of expansions at exactly those positions, no valuation choices."""
-    order = sorted(set(index_tuple) | {anchor}, reverse=True)
-    pending = [(f, {})]
-    for k in order:
-        nxt = []
-        for c, mono in pending:
-            if c.degree == 0:
-                nxt.append((c, mono))
-                continue
-            for j, d in enumerate(_qexpand_any(c, chain.entries[k].Qt)):
-                if d.is_zero:
-                    continue
-                m2 = dict(mono)
-                if j:
-                    m2[k] = j
-                nxt.append((d, m2))
-        pending = nxt
-    if any(c.degree >= 1 for c, _ in pending):
-        raise MalformedInput("index tuple does not reach constant coefficients")
+def _assemble(chain: KeyChain, anchor: int, pending) -> FullExpansion:
+    """Collect constant (coefficient, exponent map) pairs into an expansion."""
     terms = {}
     for c, mono in pending:
         m = monom(mono)
@@ -181,6 +129,37 @@ def expansion_from_index_tuple(chain: KeyChain, f: UniPoly, anchor: int,
     nu_val = min(pval(chain.ctx, c) for c, _ in items)
     appearing = sorted({k for _, m in items for k, e in m if e > 0}, reverse=True)
     return FullExpansion(anchor, items, nu_val, tuple(appearing))
+
+
+def full_expansion(chain: KeyChain, i: int, f: UniPoly) -> FullExpansion:
+    """Constructive full i-th expansion: expand in Qt_i, then cascade the
+    coefficients through one common position per lower plateau."""
+    if f.is_zero:
+        raise MalformedInput("no full expansion of zero")
+    ent = chain.entry(i)
+    if i not in chain.star_positions or not is_finite(ent.gamma):
+        raise MalformedInput("anchor must be a pre-maximal position")
+    seg = segment(chain)
+    pending = _cascade(chain, [(f, {})], i)
+    level_pos = i
+    while any(c.degree >= 1 for c, _ in pending):
+        nonconst = [c for c, _ in pending if c.degree >= 1]
+        k = _pick_common_position(chain, seg.q_of[level_pos], nonconst)
+        pending = _cascade(chain, pending, k)
+        level_pos = k
+    return _assemble(chain, i, pending)
+
+
+def expansion_from_index_tuple(chain: KeyChain, f: UniPoly, anchor: int,
+                               index_tuple) -> FullExpansion:
+    """Reproduce an expansion from its appearing-index tuple: a pure cascade
+    of expansions at exactly those positions, no valuation choices."""
+    pending = [(f, {})]
+    for k in sorted(set(index_tuple) | {anchor}, reverse=True):
+        pending = _cascade(chain, pending, k)
+    if any(c.degree >= 1 for c, _ in pending):
+        raise MalformedInput("index tuple does not reach constant coefficients")
+    return _assemble(chain, anchor, pending)
 
 
 def check_conditions(chain: KeyChain, exp: FullExpansion, f: UniPoly) -> dict:

@@ -27,6 +27,7 @@ from .algebra import (
     ResidueField,
     UniPoly,
     ValuedFieldCtx,
+    _embed_generator,
     _embedded,
     _qexpand_any,
     is_finite,
@@ -121,12 +122,13 @@ class KeyChain:
         return best
 
     def resval(self, k: int, f: UniPoly):
-        """(value, residue) of f from entries 0..k; the residue of
-        f(eta)/p^value lives in the stage field of entry k and is nonzero on
-        the evaluator's exactness domain."""
+        """(value, residue, field) of f from entries 0..k; the residue of
+        f(eta)/p^value lives in the returned field (F_p for a constant f or
+        k < 0, else the stage field of entry k) and is nonzero on the
+        evaluator's exactness domain."""
         if f.is_zero:
             raise ValueError("resval of zero")
-        if k < 0:
+        if k < 0 or f.degree == 0:
             c = f.coeffs[0]
             v = pval(self.ctx, c)
             u = c / Fraction(self.ctx.p) ** v
@@ -174,41 +176,8 @@ class KeyChain:
         return BranchDescriptor("hensel", seed)
 
     def nu(self, h: UniPoly) -> OracleValue:
-        desc = self.branch_descriptor()
-        if desc.kind != "hensel":
-            return nu_oracle(self.ctx, self.g, desc, h)
-        return self._nu_hensel_cached(desc, h)
-
-    def _nu_hensel_cached(self, desc, h: UniPoly) -> OracleValue:
-        """Hensel-method oracle reusing the deepest root approximation
-        computed so far (chains are immutable, so the cache is sound)."""
-        from .algebra import hensel_root, resultant
-        if h.is_zero:
-            return OracleValue(INF, "divisibility")
-        if h.degree >= self.g.degree:
-            h = h % self.g
-            if h.is_zero:
-                return OracleValue(INF, "divisibility")
-        p = self.ctx.p
-        dh = h.denominator_lcm()
-        hh = h * dh
-        bound = pval(self.ctx, resultant(self.g, hh))
-        margin = 2
-        cap = int(bound) + margin + 8
-        root = self.cache().get("hensel_root")
-        if root is None:
-            root = hensel_root(self.ctx, self.g, desc.seed, max(desc.seed.precision + 2, 8))
-        n = root.precision
-        while True:
-            if root.precision < n:
-                root = hensel_root(self.ctx, self.g, root, n)
-            self.cache()["hensel_root"] = root
-            val = pval(self.ctx, hh(root.value))
-            if val is not INF and val < n - margin:
-                return OracleValue(val - pval(self.ctx, Fraction(dh)), "hensel")
-            if n > cap:
-                raise OracleUnavailable("valuation exceeds its certified bound")
-            n = 2 * n
+        # chains are immutable, so the cached Hensel root stays sound
+        return nu_oracle(self.ctx, self.g, self.branch_descriptor(), h, self.cache())
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
@@ -262,8 +231,7 @@ def newton_polygon(chain: KeyChain, i: int, f: UniPoly) -> NewtonPolygon:
     for j, fj in enumerate(qexpand(f, ent.Q)):
         if fj.is_zero:
             continue
-        pts.append((j, chain.value_below(i - 1, fj) if fj.degree >= 1
-                    else pval(chain.ctx, fj.coeffs[0])))
+        pts.append((j, chain.value_below(i - 1, fj)))
     if len(pts) == 1:
         return NewtonPolygon((pts[0],), (pts[0],), ())
     corners = _lower_hull(pts)
@@ -292,43 +260,46 @@ def residual_poly(chain: KeyChain, i: int, f: UniPoly, slope):
     """
     slope = Fraction(slope)
     poly = newton_polygon(chain, i, f)
-    seg = next((s for s in poly.segments if s.slope == slope), None)
-    if seg is None and len(poly.points) == 1:
+    if len(poly.points) == 1:
         raise MalformedInput("degenerate polygon has no segments")
-    if seg is None:
+    if all(s.slope != slope for s in poly.segments):
         raise MalformedInput(f"no segment of slope {slope}")
     t = -slope
     if t.denominator != 1:
         raise RamifiedBranch(f"fractional slope {slope}: e = 1 fails on this branch")
     t = int(t)
-    x1, y1 = _segment_left(poly, slope)
-    x2 = x1 + seg.length
-    intercept = y1 + t * x1  # value of f_j p^{jt} on the line
-    exp = qexpand(f, chain.entry(i).Q)
+    line = {j: v + t * j for j, v in poly.points}
+    return _segment_residual(chain, i, qexpand(f, chain.entry(i).Q), line, t)
+
+
+def _segment_residual(chain: KeyChain, i: int, exp, line: dict, t: int):
+    """Residual polynomial along the segment of slope -t of a Q_i-expansion.
+
+    exp is the expansion (f_0, f_1, ...) and line[j] = nu(f_j) + t*j, an
+    integer, for every nonzero f_j; the segment joins the indices where
+    line attains its minimum m, and each f_j p^(t*j - m) there normalizes
+    to a unit whose residue is the coefficient.
+    """
+    m = min(line.values())
+    on_line = [j for j, v in line.items() if v == m]
+    if len(on_line) < 2:
+        raise AssertionError("minimal value attained once; chain data inconsistent")
     fld = _stage_field_below(chain, i)
+    p = Fraction(chain.ctx.p)
     coeffs = []
-    for j in range(x1, x2 + 1):
-        fj = exp[j] if j < len(exp) else UniPoly()
-        if fj.is_zero:
+    for j in range(min(on_line), max(on_line) + 1):
+        if line.get(j) != m:
             coeffs.append(fld.zero)
             continue
-        cj = fj * Fraction(chain.ctx.p) ** (t * j - intercept)
-        v, r, sub = chain.resval(i - 1, cj) if cj.degree >= 1 else _const_resval(chain, cj)
-        if v > 0:
-            coeffs.append(fld.zero)
-        elif v == 0:
-            coeffs.append(r if sub == fld else _embed_into(chain, i, sub, fld, r))
-        else:
-            raise AssertionError("negative normalized value on a hull point")
+        v, r, sub = chain.resval(i - 1, exp[j] * p ** (t * j - m))
+        if v != 0:
+            raise AssertionError("segment term does not normalize to a unit")
+        if sub != fld:
+            # adjacent-stage embedding: entry i-1 carries the image of its
+            # predecessor's generator
+            r = _embedded(sub, fld, chain.entries[i - 1].emb_prev, r)
+        coeffs.append(r)
     return tuple(coeffs), fld
-
-
-def _segment_left(poly: NewtonPolygon, slope):
-    hull = _lower_hull(list(poly.points))
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        if Fraction(y2 - y1, x2 - x1) == slope:
-            return x1, y1
-    raise MalformedInput(f"no segment of slope {slope}")
 
 
 def _stage_field_below(chain: KeyChain, i: int) -> ResidueField:
@@ -338,20 +309,6 @@ def _stage_field_below(chain: KeyChain, i: int) -> ResidueField:
     if ent.res_field is None:
         raise AssertionError("stage field missing")
     return ent.res_field
-
-
-def _const_resval(chain: KeyChain, c: UniPoly):
-    fp = ResidueField.prime(chain.ctx.p)
-    v = pval(chain.ctx, c.coeffs[0])
-    u = c.coeffs[0] / Fraction(chain.ctx.p) ** v
-    return v, fp.from_int(u.numerator * pow(u.denominator, -1, chain.ctx.p)), fp
-
-
-def _embed_into(chain, i, sub, fld, r):
-    # adjacent-stage embedding: entry i-1 carries the image of its
-    # predecessor's generator
-    ent = chain.entries[i - 1]
-    return _embedded(sub, fld, ent.emb_prev, r)
 
 
 # ---------------------------------------------------------------------------
@@ -390,41 +347,6 @@ class BranchPoint:
     @property
     def forced(self) -> bool:
         return len(self.factor_options) <= 1 and len(self.slope_options) <= 1
-
-
-def _min_segment_residual(chain: KeyChain):
-    """Residual of g along the minimal segment at the top entry, plus the
-    segment data (min value m, left index j0)."""
-    top = chain.entries[-1]
-    exp = qexpand(chain.g, top.Q)
-    vals = {}
-    for j, gj in enumerate(exp):
-        if gj.is_zero:
-            continue
-        vals[j] = (chain.value_below(len(chain.entries) - 2, gj)
-                   if gj.degree >= 1 else pval(chain.ctx, gj.coeffs[0])) + j * top.gamma
-    if 0 not in vals:
-        raise MalformedInput("generator is divisible by a key polynomial; g is reducible")
-    m = min(vals.values())
-    s_set = [j for j, v in vals.items() if v == m]
-    j0, j1 = min(s_set), max(s_set)
-    if len(s_set) < 2:
-        raise AssertionError("minimal value attained once; chain data inconsistent")
-    k = len(chain.entries) - 1
-    fld = _stage_field_below(chain, k)
-    coeffs = []
-    for j in range(j0, j1 + 1):
-        gj = exp[j]
-        if gj.is_zero or vals.get(j, INF) > m:
-            coeffs.append(fld.zero)
-            continue
-        cj = gj * Fraction(chain.ctx.p) ** (j * int(top.gamma) - int(m))
-        v, r, sub = (chain.resval(k - 1, cj) if cj.degree >= 1
-                     else _const_resval(chain, cj))
-        if v != 0:
-            raise AssertionError("segment term does not normalize to a unit")
-        coeffs.append(r if sub == fld else _embed_into(chain, k, sub, fld, r))
-    return tuple(coeffs), fld, int(m), j0
 
 
 def _refine_key(chain: KeyChain, root, fld: ResidueField) -> UniPoly:
@@ -479,8 +401,7 @@ def _admissible_slopes(chain: KeyChain, cand: UniPoly):
     for j, gj in enumerate(exp):
         if gj.is_zero:
             continue
-        pts.append((j, chain.value_below(k, gj) if gj.degree >= 1
-                    else pval(chain.ctx, gj.coeffs[0])))
+        pts.append((j, chain.value_below(k, gj)))
     if 0 not in dict(pts):
         raise MalformedInput("candidate key divides g; g is reducible")
     hull = _lower_hull(pts)
@@ -501,9 +422,17 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     """
     if chain.complete:
         raise MalformedInput("chain already complete")
-    coeffs, fld, m, j0 = _min_segment_residual(chain)
-    factors = [f for f, mult in fld.factor_monic(coeffs)]
+    top = chain.entries[-1]
     step = len(chain.entries) - 1
+    exp = qexpand(chain.g, top.Q)
+    gamma = int(top.gamma)
+    line = {j: chain.value_below(step - 1, gj) + j * gamma
+            for j, gj in enumerate(exp) if not gj.is_zero}
+    if 0 not in line:
+        raise MalformedInput("generator is divisible by a key polynomial; g is reducible")
+    # the minimal segment of g's polygon has slope -gamma
+    coeffs, fld = _segment_residual(chain, step, exp, line, gamma)
+    factors = [f for f, mult in fld.factor_monic(coeffs)]
     choiceful = len(factors) > 1
     if choiceful and branch_choice is None:
         raise AmbiguousBranch(f"step {step}: {len(factors)} residual factors")
@@ -513,7 +442,6 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     if not 0 <= fac_idx < len(factors):
         raise AmbiguousBranch(f"factor index {fac_idx} out of range at step {step}")
     phi = factors[fac_idx]
-    top = chain.entries[-1]
     if top.Q.degree * (len(phi) - 1) == chain.g.degree:
         # the chosen factor exhausts g: append g itself with value infinity
         gent = ChainEntry(top.position + 1, chain.g, INF, None, chain.g)
@@ -564,7 +492,6 @@ def _prev_emb(chain: KeyChain, old_field: ResidueField, new_field: ResidueField)
     if new_field == below:
         return below.gen
     # below embeds into new_field; canonical root of below's modulus
-    from .algebra import _embed_generator
     return _embed_generator(below, new_field)
 
 
@@ -772,9 +699,7 @@ def validate(chain: KeyChain):
         for j, fj in enumerate(exp):
             if fj.is_zero:
                 continue
-            vals[j] = chain.value_below(i - 1, fj) if fj.degree >= 1 else \
-                pval(ctx, fj.coeffs[0])
-            vals[j] = vals[j] + j * chain.entries[i].gamma
+            vals[j] = chain.value_below(i - 1, fj) + j * chain.entries[i].gamma
         m = min(vals.values())
         label = "strongly-monic" if ell != IMAX else "strongly-monic-imax"
         out.append(CheckResult(label, (ell, i), monic and vals.get(r) == m,

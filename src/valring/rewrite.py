@@ -16,7 +16,7 @@ from .algebra import UniPoly
 from .errors import MalformedInput, StepCapExceeded
 from .keychain import KeyChain, segment
 from .presentrel import ideal_generators, relation
-from .xpoly import XPoly, power_expansion
+from .xpoly import XPoly, _monom_key, power_expansion
 
 LESS = "less"
 GREATER = "greater"
@@ -46,21 +46,6 @@ def _vdeg_monom(chain, m):
     return sum(e * chain.entries[k].Q.degree for k, e in m)
 
 
-def _monom_lex_key(chain, m):
-    """Exponent vector scanned from X_0 upward; smaller exponent first
-    difference = lex-smaller monomial."""
-    top = max((k for k, _ in m), default=-1)
-    return tuple(dict(m).get(k, 0) for k in range(top + 1))
-
-
-def _lex_less(chain, m1, m2) -> bool:
-    k1, k2 = _monom_lex_key(chain, m1), _monom_lex_key(chain, m2)
-    n = max(len(k1), len(k2))
-    k1 = k1 + (0,) * (n - len(k1))
-    k2 = k2 + (0,) * (n - len(k2))
-    return k1 < k2
-
-
 def prec_compare(chain: KeyChain, F: XPoly, G: XPoly) -> str:
     """The partial order on polynomials: compare virtually homogeneous
     components from the top degree down; within a degree compare the sorted
@@ -79,12 +64,12 @@ def prec_compare(chain: KeyChain, F: XPoly, G: XPoly) -> str:
         pf, pg = parts_f.get(d, {}), parts_g.get(d, {})
         if pf == pg:
             continue
-        sf = sorted(pf, key=lambda m: _monom_lex_key(chain, m), reverse=True)
-        sg = sorted(pg, key=lambda m: _monom_lex_key(chain, m), reverse=True)
+        sf = sorted(pf, key=_monom_key, reverse=True)
+        sg = sorted(pg, key=_monom_key, reverse=True)
         for mf, mg in zip(sf, sg):
             if mf == mg:
                 continue
-            return LESS if _lex_less(chain, mf, mg) else GREATER
+            return LESS if _monom_key(mf) < _monom_key(mg) else GREATER
         if len(sf) != len(sg):
             # the shorter list is padded with zeroes, which are lex-smallest
             return LESS if len(sf) < len(sg) else GREATER
@@ -168,14 +153,8 @@ def building(chain: KeyChain, F: XPoly, i: int, ell: int, trace=None) -> XPoly:
     for j, aj in enumerate(coeffs):
         out = out + aj * xell ** j
     if trace is not None:
-        # out - F = (X_ell - P) * S = (rel / b) * S
-        s_acc = XPoly.zero()
-        for j, aj in enumerate(coeffs):
-            if j == 0 or aj.is_zero:
-                continue
-            for mth in range(j):
-                s_acc = s_acc + aj * xell ** mth * p_body ** (j - 1 - mth)
-        trace.append(TraceStep((i, ell), ell, s_acc / gen.b, "building"))
+        cof = _trace_cofactor(enumerate(coeffs), xell, p_body, gen.b)
+        trace.append(TraceStep((i, ell), ell, cof, "building"))
     return out
 
 
@@ -186,15 +165,22 @@ def reduction(chain: KeyChain, F: XPoly, i: int, ell: int, trace=None) -> XPoly:
     p_body = gen.Q_poly / gen.b
     out = F.substitute(ell, p_body)
     if trace is not None:
-        xell = XPoly.var(ell)
-        s_acc = XPoly.zero()
-        for e, coeff in F.coeffs_in(ell).items():
-            if e == 0:
-                continue
-            for mth in range(e):
-                s_acc = s_acc + coeff * xell ** mth * p_body ** (e - 1 - mth)
-        trace.append(TraceStep((i, ell), ell, -s_acc / gen.b, "reduction"))
+        cof = _trace_cofactor(F.coeffs_in(ell).items(), XPoly.var(ell), p_body, gen.b)
+        trace.append(TraceStep((i, ell), ell, -cof, "reduction"))
     return out
+
+
+def _trace_cofactor(powers, xell: XPoly, p_body: XPoly, b) -> XPoly:
+    """S / b with S = sum a_j (X_ell^j - P^j) / (X_ell - P) over the pairs
+    (j, a_j): sum a_j X_ell^j - sum a_j P^j = (S / b) * (b X_ell - b P), and
+    b X_ell - b P is the relation generator of the pair."""
+    s_acc = XPoly.zero()
+    for j, aj in powers:
+        if aj.is_zero:
+            continue
+        for mth in range(j):
+            s_acc = s_acc + aj * xell ** mth * p_body ** (j - 1 - mth)
+    return s_acc / b
 
 
 def _window(chain: KeyChain, F: XPoly, s: int, through=None):

@@ -16,16 +16,13 @@ from .errors import InsufficientDepth, MalformedInput, NotInIdeal
 from .expandval import full_expansion, truncate
 from .keychain import IMAX, KeyChain, segment
 from .presentrel import GeneratorSet, i1_decompose, ideal_generators
-from .rewrite import is_neat, total_reduction, total_s_building
+from .rewrite import _check_positions, is_neat, total_reduction, total_s_building
 from .xpoly import XPoly, mu0
 
 
 def eval_e(chain: KeyChain, F: XPoly) -> UniPoly:
     """The evaluation X_i -> Qt_i(x), exactly in Q[x]."""
-    star = set(chain.star_positions)
-    for k in F.variables():
-        if k not in star:
-            raise MalformedInput(f"variable X_{k} out of range for this chain")
+    _check_positions(chain, F)
     images = {k: chain.entries[k].Qt for k in range(len(chain.entries))}
     return F.eval_unipoly(images)
 

@@ -8,6 +8,7 @@ equality is syntactic once zero coefficients are dropped.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .algebra import UniPoly, _as_fraction, pval
 
@@ -109,11 +110,7 @@ class XPoly:
         return all(c.denominator == 1 for c in self.terms.values())
 
     def denominator_lcm(self) -> int:
-        d = 1
-        for c in self.terms.values():
-            g = _gcd(d, c.denominator)
-            d = d * c.denominator // g
-        return d
+        return lcm(*(c.denominator for c in self.terms.values()))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -246,12 +243,6 @@ def _monom_key(m: Monom):
         return ()
     top = m[-1][0]
     return tuple(monom_degree_in(m, k) for k in range(top + 1))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def mu0(ctx, F: XPoly):

@@ -136,6 +136,36 @@ class TestMainExitCodes:
         assert main(["--config", path, "--command", "chain"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ambiguous-branch"
 
+    def test_oracle_on_reducible_generator_exit2(self, tmp_path, capsys):
+        # g = (x + 5)(x - 2): Res(g, x + 5) = 0 although g does not divide x + 5
+        doc = {"p": 3, "g": [-10, 3, 1], "branch": [[0, 1]], "depth": 6,
+               "payload": {"poly": [5, 1]}}
+        path = self.write(tmp_path, doc)
+        assert main(["--config", path, "--command", "eval"]) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "oracle-unavailable"
+
+    @pytest.mark.parametrize("command, fields", [
+        ("build", {"payload": {"xpoly": [{"c": "1", "e": {"a": 1}}], "s": 0}}),
+        ("build", {"payload": {"xpoly": [{"c": "1", "e": {"0": 1}}], "pair": "ab"}}),
+        ("expand", {"payload": {"poly": ["1", "1"], "anchor": "x"}}),
+        ("chain", {"p": 3, "g": [-10, 3, 1], "branch": [["a", "b"]]}),
+        ("member", {"payload": {"xpoly": [{"c": "1", "e": {"0": -1}}]}}),
+        ("build", {"payload": {"xpoly": [{"c": "1", "e": {"0": 1.5}}], "s": 0}}),
+        ("eval", {"payload": 5}),
+        ("check", {"seed": [1]}),
+        ("chain", {"depth": True}),
+    ])
+    def test_malformed_payload_exit1(self, tmp_path, capsys, command, fields):
+        path = self.write(tmp_path, {**EXA, **fields})
+        assert main(["--config", path, "--command", command]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "malformed-input"
+
+    @pytest.mark.parametrize("g", [[3.0, 0, 1], [3.5, 0, 1]])
+    def test_json_float_exit1(self, tmp_path, capsys, g):
+        path = self.write(tmp_path, {**EXA, "g": g})
+        assert main(["--config", path, "--command", "chain"]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "malformed-input"
+
     def test_output_file(self, tmp_path):
         path = self.write(tmp_path, EXA)
         out = tmp_path / "out.json"

@@ -1,16 +1,17 @@
+import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from valring.algebra import INF, UniPoly, ValuedFieldCtx
+from valring.algebra import INF, UniPoly, ValuedFieldCtx, nu_oracle, resultant
 from valring.errors import (AmbiguousBranch, MalformedInput, RamifiedBranch,
                             UnsupportedNormalization)
 from valring.keychain import (IMAX, build_chain, gauss_start, newton_polygon,
                               residual_poly, segment, validate,
                               validation_passed)
 
-from conftest import CTX2, GA, GB, GC, GD, BRANCH_C
+from conftest import CTX2, GA, GB, GC, GD, BRANCH_C, rand_unipoly
 
 
 def keys(chain):
@@ -221,3 +222,27 @@ class TestBranchDescriptor:
         desc = chain_c.branch_descriptor()
         assert desc.kind == "hensel"
         assert desc.seed.value == 11 and desc.seed.precision == 6
+
+
+class TestOracleEntryPoints:
+    @pytest.mark.parametrize("ctx, g, branch, depth", [
+        (CTX2, GC, BRANCH_C, 4),
+        # g = (x + 5)(x - 2) over Q_3, the branch through the root -5
+        (ValuedFieldCtx(3), UniPoly((-10, 3, 1)), [[0, 1]], 6),
+    ], ids=["C", "p3-split"])
+    def test_chain_nu_matches_nu_oracle(self, ctx, g, branch, depth):
+        chain = build_chain(ctx, g, branch, depth=depth)
+        desc = chain.branch_descriptor()
+        assert desc.kind == "hensel" and "hensel_root" not in chain.cache()
+        rng = random.Random(2503)
+        # the deepest keys first, so later calls find a deep cached root
+        hs = [e.Q for e in reversed(chain.entries)]
+        while len(hs) < 30:
+            h = rand_unipoly(rng, 3, height=64)
+            if not h.is_zero and resultant(chain.g, h) != 0:
+                hs.append(h)
+        for h in hs:
+            want = nu_oracle(chain.ctx, chain.g, desc, h)
+            assert replace(chain).nu(h) == want      # cold cache
+            assert chain.nu(h) == want               # warm cache
+        assert chain.cache()["hensel_root"].precision > desc.seed.precision
