@@ -486,6 +486,13 @@ def nu_oracle(ctx: ValuedFieldCtx, g: UniPoly, branch: BranchDescriptor, h: UniP
     raise OracleUnavailable(f"no certified method for branch {branch.kind!r}")
 
 
+def _monic_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """The monic gcd over Q, by Euclid's algorithm."""
+    while not g.is_zero:
+        f, g = g, f % g
+    return f / f.coeffs[-1]
+
+
 def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
                cache: dict):
     dh = h.denominator_lcm()
@@ -494,8 +501,12 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
     # conjugates contribute nonnegative valuation
     bound = pval(ctx, resultant(g, hh))
     if bound is INF:
-        # g is reducible and shares a factor with h although h % g != 0
-        raise OracleUnavailable("resultant bound degenerate: g and h share a factor")
+        # g is reducible and shares a factor with h although h % g != 0; eta
+        # is a root of g / gcd(g, h) unless h(eta) = 0, and then the value
+        # never certifies below the precision cap
+        bound = pval(ctx, resultant(g // _monic_gcd(g, hh), hh))
+        if bound is INF:
+            raise OracleUnavailable("resultant bound degenerate: g and h share a factor")
     margin = 2
     cap = int(bound) + margin + 8
     root = cache.get("hensel_root")

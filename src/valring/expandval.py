@@ -184,19 +184,19 @@ def check_conditions(chain: KeyChain, exp: FullExpansion, f: UniPoly) -> dict:
 def expansion_level(chain: KeyChain, exp: FullExpansion):
     """(level, neat flag, plateau -> appearing position map).
 
-    Neat means all truncated-infinite plateaus carry a common offset; the
-    level is that offset, or 0 when no such plateau is involved.
+    Neat means all truncated-infinite plateaus carry a common offset, which
+    always holds since only the last plateau can be one (see `segment`); the
+    level is its offset, or 0 when it is not involved.
     """
     seg = segment(chain)
     jmap = {}
     for pl in seg.plateaus:
         hits = [k for k in exp.index_tuple if k in pl.positions]
         jmap[pl.q] = max(hits) if hits else None
-    offsets = [jmap[pl.q] - pl.first for pl in seg.plateaus
-               if pl.flag == "truncated-infinite" and jmap[pl.q] is not None]
-    neat = len(set(offsets)) <= 1
-    level = offsets[0] if neat and offsets else 0
-    return level, neat, jmap
+    final = seg.plateaus[-1]
+    top = jmap[final.q]
+    level = top - final.first if final.flag == "truncated-infinite" and top is not None else 0
+    return level, True, jmap
 
 
 @dataclass(frozen=True)

@@ -581,25 +581,25 @@ class Segmentation:
         return i - self.plateau_of(i).first
 
     def level(self, ell, i) -> int:
-        """s(ell, i) for a successor pair."""
-        if ell != IMAX and ell == i + 1:
-            return self.offset(i)
-        ell_off = 0 if ell == IMAX else self.offset(ell)
-        return max(self.offset(i), ell_off)
+        """s(ell, i) for a successor pair: the offset of i, since ell is
+        i + 1 or IMAX (see `segment`)."""
+        return self.offset(i)
 
     def is_neat_pair(self, ell, i) -> bool:
-        if ell == IMAX:
-            return True  # the final plateau is a singleton
-        qi, ql = self.q_of[i], self.q_of[ell]
-        if qi == ql:
-            return True
-        pi, pl = self.plateaus[qi - 1], self.plateaus[ql - 1]
-        if pi.flag == "truncated-infinite" and pl.flag == "truncated-infinite":
-            return self.offset(i) == self.offset(ell)
+        """Every successor pair is neat: a limit pair across two infinite
+        plateaus, the only kind that can fail, never occurs (see `segment`)."""
         return True
 
 
 def segment(chain: KeyChain) -> Segmentation:
+    """Plateaus, successor pairs and final-key sources of a chain.
+
+    Invariant: only the last plateau can be truncated-infinite (a prefix
+    ends inside at most one infinite plateau), and every successor pair is
+    (i, i + 1, "imm") or (i, IMAX, kind): the last key of a complete chain
+    has the immediate source imax - 1, and every position of a truncated
+    final plateau is a limit source of IMAX.
+    """
     cache = chain.cache()
     if "segmentation" in cache:
         return cache["segmentation"]
@@ -631,23 +631,15 @@ def segment(chain: KeyChain) -> Segmentation:
     star = set(chain.star_positions)
     for i in star:
         ell = i + 1
-        if ell in q_of:
-            kind = "imm"
-            if not chain.complete or ell != chain.imax_pos:
-                pairs.append((i, ell, kind))
-        # limit successors inside the chain would need an infinite non-final
-        # plateau, which prefixes never contain
+        if ell in q_of and (not chain.complete or ell != chain.imax_pos):
+            pairs.append((i, ell, "imm"))
     if chain.complete:
         imax = chain.imax_pos
         pairs.append((imax - 1, IMAX, "imm"))
         sources = (imax - 1,)
     else:
-        final = plateaus[-1]
-        if final.flag != "truncated-infinite":
-            raise AssertionError("incomplete chain without a truncated plateau")
-        for i in final.positions:
-            pairs.append((i, IMAX, "lim"))
-        sources = final.positions
+        sources = plateaus[-1].positions
+        pairs.extend((i, IMAX, "lim") for i in sources)
     seg = Segmentation(tuple(plateaus), n_plus, q_of, tuple(pairs), tuple(sources))
     cache["segmentation"] = seg
     return seg

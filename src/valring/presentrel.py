@@ -9,10 +9,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import UniPoly, pval, qexpand
-from .errors import MalformedInput
+from .errors import MalformedInput, NotInIdeal
 from .expandval import full_expansion, s_set
 from .keychain import IMAX, KeyChain, segment
-from .xpoly import XPoly, mu0
+from .xpoly import XPoly, divmod_in_var, mu0
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ def _strongly_monic(chain: KeyChain, ell: int, i: int) -> bool:
 
 
 def relation(chain: KeyChain, ell, i: int) -> RelationGen:
-    """The relation generator attached to a neat successor pair (ell, i).
+    """The relation generator attached to a successor pair (ell, i).
 
     For ell in I*, b is the inverse of the coefficient of the pure power
     Qt_i^r in the full i-th expansion of Qt_ell (the term that strong
@@ -65,10 +65,8 @@ def relation(chain: KeyChain, ell, i: int) -> RelationGen:
         lvl = seg.level(IMAX, i)
         gen = RelationGen("I2", IMAX, i, b, qpoly, lvl, None)
     else:
-        if (i, ell, "imm") not in seg.succ_pairs and (i, ell, "lim") not in seg.succ_pairs:
+        if (i, ell, "imm") not in seg.succ_pairs:
             raise MalformedInput(f"({ell}, {i}) is not a successor pair")
-        if not seg.is_neat_pair(ell, i):
-            raise MalformedInput(f"({ell}, {i}) is not a neat pair")
         if not _strongly_monic(chain, ell, i):
             raise MalformedInput(f"Q_{ell} is not strongly Q_{i}-monic")
         exp = full_expansion(chain, i, chain.entries[ell].Qt)
@@ -114,10 +112,18 @@ class GeneratorSet:
             raise MalformedInput(f"expected one relation with target {ell}, got {len(hits)}")
         return hits[0]
 
+    def combine(self, parts) -> XPoly:
+        """sum cofactor * relation_poly over (I1 target, cofactor) pairs: the
+        re-expansion of every trace and certificate."""
+        acc = XPoly.zero()
+        for tgt, cof in parts:
+            acc = acc + cof * self.i1_by_target(tgt).relation_poly
+        return acc
+
 
 def ideal_generators(chain: KeyChain) -> GeneratorSet:
-    """I1 over the neat successor pairs inside I*, I2 over every successor
-    of the last key (all members of a truncated final plateau)."""
+    """I1 over the successor pairs inside I*, I2 over every successor of the
+    last key (all members of a truncated final plateau)."""
     cache = chain.cache()
     if "generators" in cache:
         return cache["generators"]
@@ -127,7 +133,7 @@ def ideal_generators(chain: KeyChain) -> GeneratorSet:
     for (i, ell, kind) in seg.succ_pairs:
         if ell == IMAX:
             i2.append(relation(chain, IMAX, i))
-        elif seg.is_neat_pair(ell, i):
+        else:
             i1.append(relation(chain, ell, i))
     out = GeneratorSet(tuple(i1), tuple(i2))
     cache["generators"] = out
@@ -160,26 +166,14 @@ def i1_decompose(chain: KeyChain, d: XPoly, gens: GeneratorSet):
     eliminating the highest variable with its (linear) relation, top down.
 
     Returns {target: cofactor}; raises if a nonzero remainder survives in
-    K[X_0], which certifies the input was not in I1 K[X].
+    K[X_0], which certifies the input was not in I1 K[X].  Each relation
+    b X_top - Q is linear in X_top with constant leading coefficient b (Q
+    lives below X_top), so one division removes X_top.
     """
-    from .errors import NotInIdeal
     cof = {}
     cur = d
-    while True:
-        varlist = cur.variables()
-        top = max(varlist) if varlist else 0
-        if top == 0:
-            break
-        gen = gens.i1_by_target(top)
-        quot = XPoly.zero()
-        while cur.degree_in(top) >= 1:
-            e = cur.degree_in(top)
-            lead = cur.coeffs_in(top)[e]
-            q = lead * XPoly({((top, e - 1),) if e > 1 else (): Fraction(1)}) / gen.b
-            quot = quot + q
-            cur = cur - q * gen.relation_poly
-        if not quot.is_zero:
-            cof[top] = cof.get(top, XPoly.zero()) + quot
+    while (top := max(cur.variables(), default=0)) != 0:
+        cof[top], cur = divmod_in_var(cur, gens.i1_by_target(top).relation_poly, top)
     if not cur.is_zero:
         raise NotInIdeal("nonzero residue in K[X_0] after eliminating all relations")
     return cof
@@ -205,10 +199,6 @@ def redundancy_cofactor(chain: KeyChain, i: int, i2: int):
         raise AssertionError("redundancy scalar not integral")
     d = gi.Q_poly - c0 * gi2.Q_poly
     cof = i1_decompose(chain, d, gens)
-    # exact re-expansion check
-    acc = c0 * gi2.Q_poly
-    for tgt, c in cof.items():
-        acc = acc + c * gens.i1_by_target(tgt).relation_poly
-    if acc != gi.Q_poly:
+    if c0 * gi2.Q_poly + gens.combine(cof.items()) != gi.Q_poly:
         raise AssertionError("redundancy certificate failed to re-expand")
     return c0, cof

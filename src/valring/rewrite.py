@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import UniPoly
+from .algebra import UniPoly, _qexpand_any
 from .errors import MalformedInput, StepCapExceeded
 from .keychain import KeyChain, segment
 from .presentrel import ideal_generators, relation
@@ -98,7 +98,7 @@ def is_neat(chain: KeyChain, F: XPoly) -> NeatReport:
     seg = segment(chain)
     vars_ = F.variables()
     note = None
-    level_offsets = []
+    level = 0
     for pl in seg.plateaus:
         hits = [k for k in vars_ if k in pl.positions]
         if len(hits) > 1:
@@ -106,10 +106,7 @@ def is_neat(chain: KeyChain, F: XPoly) -> NeatReport:
                 return NeatReport(False, 0, "two variables in an infinite plateau")
             note = "neat under collapsed indexing"
         if hits and pl.flag == "truncated-infinite":
-            level_offsets.append(max(hits) - pl.first)
-    if len(set(level_offsets)) > 1:
-        return NeatReport(False, 0, "offsets disagree across infinite plateaus")
-    level = level_offsets[0] if level_offsets else 0
+            level = hits[0] - pl.first  # the only infinite plateau is the last
     if vars_:
         top = max(vars_)
         for k in vars_:
@@ -131,11 +128,7 @@ class TraceStep:
 
 def replay(chain: KeyChain, steps) -> XPoly:
     """Sum of cofactor * relation generator over a trace."""
-    gens = ideal_generators(chain)
-    acc = XPoly.zero()
-    for st in steps:
-        acc = acc + st.cofactor * gens.i1_by_target(st.target).relation_poly
-    return acc
+    return ideal_generators(chain).combine((st.target, st.cofactor) for st in steps)
 
 
 def building(chain: KeyChain, F: XPoly, i: int, ell: int, trace=None) -> XPoly:
@@ -203,33 +196,6 @@ def _window(chain: KeyChain, F: XPoly, s: int, through=None):
     return out
 
 
-def _succ_in_window(chain: KeyChain, i: int, window) -> int | None:
-    """The building target for i inside the window: the next position when
-    it stays in the window, else the matching-offset (or first) element of
-    the next plateau."""
-    seg = segment(chain)
-    pl = seg.plateau_of(i)
-    nxt = i + 1
-    if nxt in window and nxt in pl.positions:
-        return nxt
-    if i == pl.positions[-1]:
-        # finite plateau end: the global successor is the next plateau's first
-        if nxt in window:
-            return nxt
-        return None
-    if pl.flag == "truncated-infinite":
-        qnext = pl.q + 1
-        if qnext - 1 < len(seg.plateaus):
-            target_pl = seg.plateaus[qnext - 1]
-            if target_pl.flag == "truncated-infinite":
-                cand = target_pl.first + (i - pl.first)
-            else:
-                cand = target_pl.first
-            if cand in window and seg.is_neat_pair(cand, i):
-                return cand
-    return None
-
-
 def _applicable(chain: KeyChain, F: XPoly, i: int, ell: int) -> bool:
     ratio = chain.entries[ell].Q.degree // chain.entries[i].Q.degree
     return F.degree_in(i) >= max(ratio, 1)
@@ -260,13 +226,9 @@ def total_s_building(chain: KeyChain, F: XPoly, s: int, trace=None,
     cur = F
     steps = 0
     while True:
-        candidates = []
-        for i in window:
-            ell = _succ_in_window(chain, i, window)
-            if ell is None:
-                continue
-            if _applicable(chain, cur, i, ell):
-                candidates.append((i, ell))
+        # the building target of i is its successor i + 1 (see `segment`)
+        candidates = [(i, i + 1) for i in window
+                      if i + 1 in window and _applicable(chain, cur, i, i + 1)]
         if not candidates:
             return cur
         pick = min(candidates) if order == "least" else max(candidates)
@@ -276,20 +238,26 @@ def total_s_building(chain: KeyChain, F: XPoly, s: int, trace=None,
             raise StepCapExceeded(f"total s-building exceeded {cap} steps")
 
 
+def in_x0(chain: KeyChain, f: UniPoly) -> UniPoly:
+    """f in the coordinate X_0 = Qt_0: the constant coefficients of its
+    Qt_0-expansion (Qt_0 has degree 1; in full mode Qt_0 = x and f is
+    unchanged)."""
+    return UniPoly(tuple(c.coeff(0) for c in _qexpand_any(f, chain.entries[0].Qt)))
+
+
 def total_reduction(chain: KeyChain, F: XPoly, trace=None) -> UniPoly:
-    """Collapse to K[X_0] by substituting Qt_i(X_0) for every variable.
+    """Collapse to K[X_0] by substituting Qt_i, written in X_0 = Qt_0, for
+    every variable.
 
     With a trace, the same result is produced by a chain of reductions at
     immediate-predecessor pairs and both routes are compared exactly.
     """
     _check_positions(chain, F)
-    images = {k: XPoly.from_unipoly(chain.entries[k].Qt, 0)
-              for k in chain.star_positions}
     direct = F
     for k in sorted(F.variables(), reverse=True):
         if k == 0:
             continue
-        direct = direct.substitute(k, images[k])
+        direct = direct.substitute(k, XPoly.from_unipoly(in_x0(chain, chain.entries[k].Qt), 0))
     if trace is not None:
         stepwise = F
         while True:

@@ -16,7 +16,7 @@ from .errors import InsufficientDepth, MalformedInput, NotInIdeal
 from .expandval import full_expansion, truncate
 from .keychain import IMAX, KeyChain, segment
 from .presentrel import GeneratorSet, i1_decompose, ideal_generators
-from .rewrite import _check_positions, is_neat, total_reduction, total_s_building
+from .rewrite import _check_positions, in_x0, is_neat, total_reduction, total_s_building
 from .xpoly import XPoly, mu0
 
 
@@ -55,14 +55,14 @@ def check_relations(chain: KeyChain):
     out = []
     for gen in gens.i1:
         ev = eval_e(chain, gen.relation_poly)
-        neat = is_neat(chain, gen.Q_poly)
+        rel_neat = is_neat(chain, gen.relation_poly)
         details = {
             "kernel": ev.is_zero,
             "mu0_zero": mu0(ctx, gen.Q_poly) == 0,
             "b_positive": pval(ctx, gen.b) > 0,
-            "q_neat": neat.neat,
-            "relation_neat": is_neat(chain, gen.relation_poly).neat,
-            "neat_note": is_neat(chain, gen.relation_poly).note,
+            "q_neat": is_neat(chain, gen.Q_poly).neat,
+            "relation_neat": rel_neat.neat,
+            "neat_note": rel_neat.note,
         }
         ok = details["kernel"] and details["mu0_zero"] and details["b_positive"] \
             and details["q_neat"]
@@ -141,10 +141,7 @@ class Certificate:
     denominators: tuple       # ((label, lcm), ...) empty when fully integral
 
     def re_expand(self, gens: GeneratorSet) -> XPoly:
-        acc = self.i2_poly * self.i2_cofactor
-        for tgt, cof in self.i1_parts:
-            acc = acc + cof * gens.i1_by_target(tgt).relation_poly
-        return acc
+        return self.i2_poly * self.i2_cofactor + gens.combine(self.i1_parts)
 
 
 def _membership_anchor(chain: KeyChain, s: int) -> int:
@@ -180,7 +177,7 @@ def membership(chain: KeyChain, F: XPoly) -> Certificate:
     gen2 = by_source[anchor]
     f_s = total_s_building(chain, F, s, through=anchor)
     tred = total_reduction(chain, f_s)
-    gi = chain.g * gen2.h  # h_i g(x); the X_0 notation is the same data
+    gi = in_x0(chain, chain.g) * gen2.h  # h_i g, in the coordinate X_0 = Qt_0
     quot, rem = divmod(tred, gi)
     if not rem.is_zero:
         raise NotInIdeal("total reduction is not divisible by g")

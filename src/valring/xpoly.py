@@ -266,16 +266,14 @@ def divmod_in_var(F: XPoly, P: XPoly, pos: int):
     lc = lead.constant_value()
     quot = XPoly.zero()
     rem = F
-    while rem.degree_in(pos) >= r and not rem.is_zero:
-        d = rem.degree_in(pos)
-        top = rem.coeffs_in(pos).get(d)
-        if top is None:
-            break
+    d = rem.degree_in(pos)
+    while d >= r and not rem.is_zero:
         shift = XPoly({((pos, d - r),) if d > r else (): Fraction(1)})
-        q = top * shift / lc
+        q = rem.coeffs_in(pos)[d] * shift / lc
         quot = quot + q
         rem = rem - q * P
-        if not rem.is_zero and rem.coeffs_in(pos).get(d) is not None:
+        last, d = d, rem.degree_in(pos)
+        if not rem.is_zero and d >= last:
             raise AssertionError("division failed to reduce degree")
     return quot, rem
 

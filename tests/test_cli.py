@@ -144,6 +144,23 @@ class TestMainExitCodes:
         assert main(["--config", path, "--command", "eval"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "oracle-unavailable"
 
+    def test_oracle_on_coprime_factor_of_reducible_generator(self, tmp_path, capsys):
+        # x - 2 shares a factor with g but not the branch root -5: v(-7) = 0
+        doc = {"p": 3, "g": [-10, 3, 1], "branch": [[0, 1]], "depth": 6,
+               "payload": {"poly": [-2, 1]}}
+        path = self.write(tmp_path, doc)
+        assert main(["--config", path, "--command", "eval"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["nu"], out["method"]) == ("0", "hensel")
+
+    def test_member_collapsed_i2_body(self, tmp_path, capsys):
+        # collapsed context A: X_0 = Qt_0 = (x + 1)/2 and X_0^2 - X_0 + 1 -> g/4
+        doc = {**EXA, "mode": "collapsed", "payload": {"xpoly": [
+            {"c": "1", "e": {"0": 2}}, {"c": "-1", "e": {"0": 1}}, {"c": "1", "e": {}}]}}
+        path = self.write(tmp_path, doc)
+        assert main(["--config", path, "--command", "member"]) == 0
+        assert json.loads(capsys.readouterr().out)["i2_cofactor"] == [{"c": "1", "e": {}}]
+
     @pytest.mark.parametrize("command, fields", [
         ("build", {"payload": {"xpoly": [{"c": "1", "e": {"a": 1}}], "s": 0}}),
         ("build", {"payload": {"xpoly": [{"c": "1", "e": {"0": 1}}], "pair": "ab"}}),

@@ -185,6 +185,35 @@ class TestSegmentation:
         assert seg.level(IMAX, 0) == 0
 
 
+DEEP_BRANCHES = [
+    (2, (7, 0, 1), 24, [[0, 0]]), (2, (7, 0, 1), 24, [[1, 0]]),
+    (3, (2, 0, 1), 16, [[0, 0]]), (3, (2, 0, 1), 16, [[0, 1]]),
+    (5, (1, 0, 1), 16, [[0, 0]]), (5, (1, 0, 1), 16, [[0, 1]]),
+]
+
+
+class TestSegmentInvariant:
+    """Only the last plateau can be truncated-infinite, and every successor
+    pair is (i, i + 1, "imm") or (i, IMAX, kind)."""
+
+    @staticmethod
+    def check(chain):
+        seg = segment(chain)
+        flags = [pl.flag for pl in seg.plateaus]
+        assert "truncated-infinite" not in flags[:-1]
+        assert (flags[-1] == "truncated-infinite") == (not chain.complete)
+        for i, ell, kind in seg.succ_pairs:
+            assert ell == IMAX or (ell == i + 1 and kind == "imm")
+
+    def test_worked_contexts(self, all_chains, chain_a_collapsed):
+        for chain in list(all_chains.values()) + [chain_a_collapsed]:
+            self.check(chain)
+
+    @pytest.mark.parametrize("p, g, depth, branch", DEEP_BRANCHES)
+    def test_deep_branches(self, p, g, depth, branch):
+        self.check(build_chain(ValuedFieldCtx(p), UniPoly(g), branch, depth=depth))
+
+
 class TestValidate:
     def test_all_pass(self, all_chains, chain_a_collapsed):
         for chain in list(all_chains.values()) + [chain_a_collapsed]:

@@ -5,12 +5,13 @@ import pytest
 
 from valring.algebra import INF, UniPoly
 from valring.errors import InsufficientDepth, MalformedInput, NotInIdeal
+from valring.keychain import build_chain
 from valring.presentrel import ideal_generators
 from valring.verify import (check_relations, completeness_probe, eval_e,
                             eval_eta, integral_rep, membership)
 from valring.xpoly import XPoly
 
-from conftest import CTX2, rand_unipoly, rand_xpoly
+from conftest import BRANCH_C, CTX2, GA, GB, GC, GD, rand_unipoly, rand_xpoly
 
 X = XPoly.var
 ONE = XPoly.const(1)
@@ -184,6 +185,18 @@ class TestMembership:
                 with pytest.raises(NotInIdeal):
                     membership(chain, F)
                 rejected += 1
+
+    @pytest.mark.parametrize("g, branch", [(GA, "unique"), (GB, "unique"),
+                                           (GC, BRANCH_C), (GD, "unique")])
+    def test_collapsed_generator_multiples(self, g, branch):
+        # in collapsed mode X_0 = Qt_0 need not be x (context A: Qt_0 = (x+1)/2)
+        chain = build_chain(CTX2, g, branch, depth=4, mode="collapsed")
+        gens = ideal_generators(chain)
+        for gen in list(gens.i1) + list(gens.i2):
+            body = gen.relation_poly if gen.kind == "I1" else gen.Q_poly
+            F = body * (X(0) + 3)
+            cert = membership(chain, F)
+            assert cert.re_expand(gens) == F
 
     def test_exc_insufficient_depth(self):
         from valring.keychain import build_chain
