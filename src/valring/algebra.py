@@ -464,7 +464,8 @@ def nu_oracle(ctx: ValuedFieldCtx, g: UniPoly, branch: BranchDescriptor, h: UniP
 
     Resultant method: v_p(Res(g, h)) / deg g, valid only when the extension
     of v to L is unique.  Hensel method: v_p(h(r)) at a root approximation r
-    of certified precision.  Returns INF exactly when g divides h.
+    of certified precision.  Returns INF exactly when h(eta) = 0: when g
+    divides h, or, for a reducible g, when h vanishes at the branch root.
 
     root_cache, when given, keeps the deepest Hensel root approximation of
     the branch under "hensel_root" across calls; it never changes a result.
@@ -500,11 +501,14 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
     # certification bound: v(H(eta)) <= v_p(Res(g, H)) since the other
     # conjugates contribute nonnegative valuation
     bound = pval(ctx, resultant(g, hh))
+    common = None
     if bound is INF:
         # g is reducible and shares a factor with h although h % g != 0; eta
         # is a root of g / gcd(g, h) unless h(eta) = 0, and then the value
-        # never certifies below the precision cap
-        bound = pval(ctx, resultant(g // _monic_gcd(g, hh), hh))
+        # never certifies below the precision cap, where a finite value of
+        # g / gcd(g, h) at eta proves h(eta) = 0
+        common = _monic_gcd(g, hh)
+        bound = pval(ctx, resultant(g // common, hh))
         if bound is INF:
             raise OracleUnavailable("resultant bound degenerate: g and h share a factor")
     margin = 2
@@ -521,6 +525,8 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
         if val is not INF and val < n - margin:
             return val - pval(ctx, Fraction(dh))
         if n > cap:
+            if common is not None and is_finite(_nu_hensel(ctx, g, seed, g // common, cache)):
+                return INF
             raise OracleUnavailable("valuation exceeds its certified bound")
         n = 2 * n
 

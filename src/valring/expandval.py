@@ -23,25 +23,22 @@ def _coeff_value(chain: KeyChain, f: UniPoly, method: str):
     return chain.nu(f).value
 
 
+def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
+    """{j: nu(f_j) + j*gamma_i} over the nonzero terms of the Q_i-expansion."""
+    ent = chain.entry(i)
+    if not is_finite(ent.gamma):
+        raise MalformedInput(f"{what} needs a position of finite value")
+    return {j: _coeff_value(chain, fj, method) + j * ent.gamma
+            for j, fj in enumerate(qexpand(f, ent.Q)) if not fj.is_zero}
+
+
 def truncate(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE):
     """nu_i(f) = min_j nu(f_j Q_i^j) over the Q_i-expansion.
 
     Coefficient values come from the valuation oracle by default; the
     chain-internal recursive evaluator is the cross-checking route.
     """
-    ent = chain.entry(i)
-    if not is_finite(ent.gamma):
-        raise MalformedInput("truncation needs a position of finite value")
-    if f.is_zero:
-        return INF
-    best = INF
-    for j, fj in enumerate(qexpand(f, ent.Q)):
-        if fj.is_zero:
-            continue
-        t = _coeff_value(chain, fj, method) + j * ent.gamma
-        if t < best:
-            best = t
-    return best
+    return min(_line(chain, i, f, method, "truncation").values(), default=INF)
 
 
 @dataclass(frozen=True)
@@ -52,14 +49,7 @@ class SSet:
 
 def s_set(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE) -> SSet:
     """Indices of the Q_i-expansion attaining nu_i(f)."""
-    ent = chain.entry(i)
-    if not is_finite(ent.gamma):
-        raise MalformedInput("S-set needs a position of finite value")
-    vals = {}
-    for j, fj in enumerate(qexpand(f, ent.Q)):
-        if fj.is_zero:
-            continue
-        vals[j] = _coeff_value(chain, fj, method) + j * ent.gamma
+    vals = _line(chain, i, f, method, "S-set")
     if not vals:
         raise MalformedInput("S-set of the zero polynomial")
     m = min(vals.values())
@@ -81,8 +71,7 @@ class FullExpansion:
         return XPoly({m: c for c, m in self.terms})
 
     def evaluate(self, chain: KeyChain) -> UniPoly:
-        images = {i: chain.entries[i].Qt for i in range(len(chain.entries))}
-        return self.as_xpoly().eval_unipoly(images)
+        return chain.evaluate(self.as_xpoly())
 
 
 def _pick_common_position(chain: KeyChain, below_plateau: int, polys):

@@ -30,6 +30,7 @@ from .algebra import (
     _embed_generator,
     _embedded,
     _qexpand_any,
+    hensel_root,
     is_finite,
     nu_oracle,
     pval,
@@ -37,7 +38,9 @@ from .algebra import (
 )
 from .errors import (
     AmbiguousBranch,
+    InsufficientDepth,
     MalformedInput,
+    NoConvergence,
     OracleUnavailable,
     RamifiedBranch,
     UnsupportedNormalization,
@@ -112,14 +115,14 @@ class KeyChain:
             return self.value_below(k - 1, f)
         if f.degree < ent.Q.degree:
             return self.value_below(k - 1, f)
-        best = INF
-        for j, fj in enumerate(qexpand(f, ent.Q)):
-            if fj.is_zero:
-                continue
-            t = self.value_below(k - 1, fj) + j * ent.gamma
-            if t < best:
-                best = t
-        return best
+        return min(self.line(k - 1, qexpand(f, ent.Q), ent.gamma).values())
+
+    def line(self, k: int, exp, gamma) -> dict:
+        """{j: value_below(k, f_j) + j*gamma} over the nonzero terms of an
+        expansion (f_0, f_1, ...): the points of its Newton polygon sheared
+        by gamma."""
+        return {j: self.value_below(k, fj) + j * gamma
+                for j, fj in enumerate(exp) if not fj.is_zero}
 
     def resval(self, k: int, f: UniPoly):
         """(value, residue, field) of f from entries 0..k; the residue of
@@ -175,6 +178,11 @@ class KeyChain:
         seed = ResidueClass(int(c) % self.ctx.p ** int(last.gamma), int(last.gamma))
         return BranchDescriptor("hensel", seed)
 
+    def evaluate(self, F) -> UniPoly:
+        """The evaluation X_i -> Qt_i(x) of a polynomial in the chain
+        variables, exactly in Q[x]."""
+        return F.eval_unipoly({k: ent.Qt for k, ent in enumerate(self.entries)})
+
     def nu(self, h: UniPoly) -> OracleValue:
         # chains are immutable, so the cached Hensel root stays sound
         return nu_oracle(self.ctx, self.g, self.branch_descriptor(), h, self.cache())
@@ -227,11 +235,7 @@ def newton_polygon(chain: KeyChain, i: int, f: UniPoly) -> NewtonPolygon:
         raise MalformedInput("polygon needs a position of finite value")
     if f.is_zero:
         raise MalformedInput("polygon of the zero polynomial")
-    pts = []
-    for j, fj in enumerate(qexpand(f, ent.Q)):
-        if fj.is_zero:
-            continue
-        pts.append((j, chain.value_below(i - 1, fj)))
+    pts = list(chain.line(i - 1, qexpand(f, ent.Q), 0).items())
     if len(pts) == 1:
         return NewtonPolygon((pts[0],), (pts[0],), ())
     corners = _lower_hull(pts)
@@ -396,15 +400,10 @@ def _admissible_slopes(chain: KeyChain, cand: UniPoly):
     nu(candidate) across branches through the current stage."""
     k = len(chain.entries) - 1
     threshold = chain.value_below(k, cand)
-    exp = qexpand(chain.g, cand)
-    pts = []
-    for j, gj in enumerate(exp):
-        if gj.is_zero:
-            continue
-        pts.append((j, chain.value_below(k, gj)))
-    if 0 not in dict(pts):
+    pts = chain.line(k, qexpand(chain.g, cand), 0)
+    if 0 not in pts:
         raise MalformedInput("candidate key divides g; g is reducible")
-    hull = _lower_hull(pts)
+    hull = _lower_hull(pts.items())
     slopes = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         t = -Fraction(y2 - y1, x2 - x1)
@@ -426,8 +425,7 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     step = len(chain.entries) - 1
     exp = qexpand(chain.g, top.Q)
     gamma = int(top.gamma)
-    line = {j: chain.value_below(step - 1, gj) + j * gamma
-            for j, gj in enumerate(exp) if not gj.is_zero}
+    line = chain.line(step - 1, exp, gamma)
     if 0 not in line:
         raise MalformedInput("generator is divisible by a key polynomial; g is reducible")
     # the minimal segment of g's polygon has slope -gamma
@@ -521,6 +519,14 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
             # depth reached and the next step only refines: stop here
             break
         chain, used = nxt, used2
+    if not chain.complete and chain.entries[-1].Q.degree == 1:
+        # a depth cut, not a prefix of an infinite plateau, if the seed fails
+        seed = chain.branch_descriptor().seed
+        try:
+            hensel_root(ctx, g, seed, seed.precision)
+        except NoConvergence:
+            raise InsufficientDepth(
+                f"depth {depth} is too shallow: the prefix pins no branch root") from None
     if mode == COLLAPSED:
         chain = collapse(chain)
     return chain
@@ -657,6 +663,19 @@ class CheckResult:
     witness: object = None
 
 
+def strongly_monic(chain: KeyChain, ell, i: int):
+    """(passed, witness) for Q_ell (g at IMAX) strongly Q_i-monic: the
+    Q_i-expansion is monic and its top index r attains the minimum of the
+    value line.  The witness holds r, the monic flag and the line."""
+    ql = chain.g if ell == IMAX else chain.entries[ell].Q
+    exp = qexpand(ql, chain.entries[i].Q)
+    r = len(exp) - 1
+    monic = exp[r] == UniPoly((1,))
+    vals = chain.line(i - 1, exp, chain.entries[i].gamma)
+    passed = monic and vals.get(r) == min(vals.values())
+    return passed, {"top_index": r, "monic": monic, "values": vals}
+
+
 def validate(chain: KeyChain):
     """Report-based checks: strong monicity along successor pairs, e = 1
     integrality, strict value increase within plateaus, the normalization
@@ -681,21 +700,10 @@ def validate(chain: KeyChain):
         out.append(CheckResult("plateau-strictly-increasing", pl.q,
                                all(a < b for a, b in zip(finite, finite[1:])), tuple(gs)))
     for (i, ell, kind) in seg.succ_pairs:
-        ql = chain.g if ell == IMAX else chain.entries[ell].Q
         if ell == IMAX and not chain.complete:
             continue
-        exp = qexpand(ql, chain.entries[i].Q)
-        r = len(exp) - 1
-        monic = exp[r] == UniPoly((1,))
-        vals = {}
-        for j, fj in enumerate(exp):
-            if fj.is_zero:
-                continue
-            vals[j] = chain.value_below(i - 1, fj) + j * chain.entries[i].gamma
-        m = min(vals.values())
         label = "strongly-monic" if ell != IMAX else "strongly-monic-imax"
-        out.append(CheckResult(label, (ell, i), monic and vals.get(r) == m,
-                               {"top_index": r, "monic": monic, "values": vals}))
+        out.append(CheckResult(label, (ell, i), *strongly_monic(chain, ell, i)))
     # oracle-backed normalization checks when a branch descriptor exists
     try:
         for i in chain.star_positions:

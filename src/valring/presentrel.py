@@ -8,10 +8,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import UniPoly, pval, qexpand
+from .algebra import pval
 from .errors import MalformedInput, NotInIdeal
-from .expandval import full_expansion, s_set
-from .keychain import IMAX, KeyChain, segment
+from .expandval import full_expansion
+from .keychain import IMAX, KeyChain, segment, strongly_monic
 from .xpoly import XPoly, divmod_in_var, mu0
 
 
@@ -31,14 +31,6 @@ class RelationGen:
         if self.kind != "I2":
             raise MalformedInput("h is defined for I2 generators only")
         return self.b
-
-
-def _strongly_monic(chain: KeyChain, ell: int, i: int) -> bool:
-    exp = qexpand(chain.entries[ell].Q, chain.entries[i].Q)
-    r = len(exp) - 1
-    if exp[r] != UniPoly((1,)):
-        return False
-    return r in s_set(chain, i, chain.entries[ell].Q).indices
 
 
 def relation(chain: KeyChain, ell, i: int) -> RelationGen:
@@ -67,7 +59,7 @@ def relation(chain: KeyChain, ell, i: int) -> RelationGen:
     else:
         if (i, ell, "imm") not in seg.succ_pairs:
             raise MalformedInput(f"({ell}, {i}) is not a successor pair")
-        if not _strongly_monic(chain, ell, i):
+        if not strongly_monic(chain, ell, i)[0]:
             raise MalformedInput(f"Q_{ell} is not strongly Q_{i}-monic")
         exp = full_expansion(chain, i, chain.entries[ell].Qt)
         r = chain.entries[ell].Q.degree // chain.entries[i].Q.degree

@@ -36,10 +36,7 @@ def vdeg(chain: KeyChain, F: XPoly) -> int:
     if F.is_zero:
         raise MalformedInput("virtual degree of zero")
     _check_positions(chain, F)
-    out = 0
-    for m in F.terms:
-        out = max(out, sum(e * chain.entries[k].Q.degree for k, e in m))
-    return out
+    return max(_vdeg_monom(chain, m) for m in F.terms)
 
 
 def _vdeg_monom(chain, m):
@@ -246,26 +243,18 @@ def in_x0(chain: KeyChain, f: UniPoly) -> UniPoly:
 
 
 def total_reduction(chain: KeyChain, F: XPoly, trace=None) -> UniPoly:
-    """Collapse to K[X_0] by substituting Qt_i, written in X_0 = Qt_0, for
-    every variable.
+    """Collapse to K[X_0]: the evaluation X_i -> Qt_i written in the
+    coordinate X_0 = Qt_0.
 
     With a trace, the same result is produced by a chain of reductions at
     immediate-predecessor pairs and both routes are compared exactly.
     """
     _check_positions(chain, F)
-    direct = F
-    for k in sorted(F.variables(), reverse=True):
-        if k == 0:
-            continue
-        direct = direct.substitute(k, XPoly.from_unipoly(in_x0(chain, chain.entries[k].Qt), 0))
+    direct = in_x0(chain, chain.evaluate(F))
     if trace is not None:
         stepwise = F
-        while True:
-            vars_ = [k for k in stepwise.variables() if k >= 1]
-            if not vars_:
-                break
-            top = max(vars_)
+        while (top := max(stepwise.variables(), default=0)) != 0:
             stepwise = reduction(chain, stepwise, top - 1, top, trace)
-        if stepwise != direct:
-            raise AssertionError("reduction trace disagrees with substitution")
-    return direct.to_unipoly(0)
+        if stepwise.to_unipoly(0) != direct:
+            raise AssertionError("reduction trace disagrees with the evaluation")
+    return direct

@@ -16,15 +16,14 @@ from .errors import InsufficientDepth, MalformedInput, NotInIdeal
 from .expandval import full_expansion, truncate
 from .keychain import IMAX, KeyChain, segment
 from .presentrel import GeneratorSet, i1_decompose, ideal_generators
-from .rewrite import _check_positions, in_x0, is_neat, total_reduction, total_s_building
+from .rewrite import _check_positions, in_x0, is_neat, total_s_building
 from .xpoly import XPoly, mu0
 
 
 def eval_e(chain: KeyChain, F: XPoly) -> UniPoly:
     """The evaluation X_i -> Qt_i(x), exactly in Q[x]."""
     _check_positions(chain, F)
-    images = {k: chain.entries[k].Qt for k in range(len(chain.entries))}
-    return F.eval_unipoly(images)
+    return chain.evaluate(F)
 
 
 def eval_eta(chain: KeyChain, F: XPoly):
@@ -159,29 +158,27 @@ def _membership_anchor(chain: KeyChain, s: int) -> int:
 def membership(chain: KeyChain, F: XPoly) -> Certificate:
     """Certificate that F lies in I1 + I2.
 
-    Follows the constructive route: total s-building of F, total reduction,
-    exact division by h_i g(X_0), total s-building of the quotient, then
-    explicit I1 cofactors for the difference by top-down elimination."""
+    F lies in the ideal exactly when g divides its image e(F) under
+    X_i -> Qt_i.  Every I1 relation maps to 0, so e(F), written in
+    X_0 = Qt_0, is the total reduction of the total s-building of F, and the
+    I2 cofactor R is its exact quotient by h_i g(X_0).  The certificate
+    takes the total s-buildings of R and of the I2 body, then explicit I1
+    cofactors for the difference by top-down elimination."""
     gens = ideal_generators(chain)
     ctx = chain.ctx
     if not F.is_zero and mu0(ctx, F) < 0:
         raise MalformedInput("membership requires mu0(F) >= 0")
-    is_zero, val = eval_eta(chain, F)
-    if not is_zero:
-        raise NotInIdeal(f"F evaluates to a nonzero element of value {val}")
+    image = eval_e(chain, F)
+    if not (image % chain.g).is_zero:
+        raise NotInIdeal(f"F evaluates to a nonzero element of value {chain.nu(image).value}")
     seg = segment(chain)
     s = max((seg.offset(k) for k in F.variables()), default=0)
     anchor = _membership_anchor(chain, s)
     s = max(s, seg.offset(anchor))
     by_source = {g.source: g for g in gens.i2}
     gen2 = by_source[anchor]
-    f_s = total_s_building(chain, F, s, through=anchor)
-    tred = total_reduction(chain, f_s)
     gi = in_x0(chain, chain.g) * gen2.h  # h_i g, in the coordinate X_0 = Qt_0
-    quot, rem = divmod(tred, gi)
-    if not rem.is_zero:
-        raise NotInIdeal("total reduction is not divisible by g")
-    r_poly = XPoly.from_unipoly(quot, 0)
+    r_poly = XPoly.from_unipoly(in_x0(chain, image) // gi, 0)
     r_s = (total_s_building(chain, r_poly, s, through=anchor)
            if not r_poly.is_zero else r_poly)
     q_s = total_s_building(chain, gen2.Q_poly, s, through=anchor)

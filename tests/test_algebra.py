@@ -193,6 +193,20 @@ class TestNuOracle:
         assert avg == Fraction(pval(C2, resultant(GC, P(-11, 1))), 2)
         assert avg != 6
 
+    @pytest.mark.parametrize("seed, h, want", [
+        (ResidueClass(1, 1), P(5, 1), INF),                        # x + 5 at -5
+        (ResidueClass(1, 1), P(5, 6, 1), INF),                     # (x + 5)(x + 1)
+        (ResidueClass(1, 1), P(Fraction(5, 9), Fraction(1, 9)), INF),
+        (ResidueClass(1, 1), P(-2, 1), 0),                         # v(-5 - 2) = 0
+        (ResidueClass(2, 1), P(5, 1), 0),                          # v(2 + 5) = 0
+        (ResidueClass(2, 1), P(-2, 1), INF),                       # x - 2 at 2
+    ])
+    def test_reducible_generator(self, seed, h, want):
+        # g = (x + 5)(x - 2) over Q_3: Res(g, h) = 0 whenever h shares a
+        # factor with g, and the value is infinite exactly at that factor's root
+        out = nu_oracle(ValuedFieldCtx(3), P(-10, 3, 1), BranchDescriptor("hensel", seed), h)
+        assert (out.value, out.method) == (want, "hensel")
+
 
 class TestResidueField:
     def test_f4_modulus(self):

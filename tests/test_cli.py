@@ -136,13 +136,22 @@ class TestMainExitCodes:
         assert main(["--config", path, "--command", "chain"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "ambiguous-branch"
 
-    def test_oracle_on_reducible_generator_exit2(self, tmp_path, capsys):
-        # g = (x + 5)(x - 2): Res(g, x + 5) = 0 although g does not divide x + 5
+    def test_oracle_infinite_value_on_reducible_generator(self, tmp_path, capsys):
+        # g = (x + 5)(x - 2): Res(g, x + 5) = 0 although g does not divide
+        # x + 5, which vanishes at the branch root -5
         doc = {"p": 3, "g": [-10, 3, 1], "branch": [[0, 1]], "depth": 6,
                "payload": {"poly": [5, 1]}}
         path = self.write(tmp_path, doc)
-        assert main(["--config", path, "--command", "eval"]) == 2
-        assert json.loads(capsys.readouterr().out)["error"] == "oracle-unavailable"
+        assert main(["--config", path, "--command", "eval"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["nu"], out["method"]) == ("inf", "hensel")
+
+    def test_depth_cut_in_finite_plateau_exit2(self, tmp_path, capsys):
+        # x^2 + 3 over Q_2 is complete at depth 3; depth 1 pins no branch root
+        path = self.write(tmp_path, {"p": 2, "g": [3, 0, 1], "depth": 1})
+        assert main(["--config", path, "--command", "chain"]) == 2
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "insufficient-depth" and "depth 1" in out["message"]
 
     def test_oracle_on_coprime_factor_of_reducible_generator(self, tmp_path, capsys):
         # x - 2 shares a factor with g but not the branch root -5: v(-7) = 0

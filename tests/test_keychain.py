@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from valring.algebra import INF, UniPoly, ValuedFieldCtx, nu_oracle, resultant
-from valring.errors import (AmbiguousBranch, MalformedInput, RamifiedBranch,
-                            UnsupportedNormalization)
+from valring.errors import (AmbiguousBranch, InsufficientDepth, MalformedInput,
+                            RamifiedBranch, UnsupportedNormalization)
+from valring.expandval import s_set
 from valring.keychain import (IMAX, build_chain, gauss_start, newton_polygon,
-                              residual_poly, segment, validate,
+                              residual_poly, segment, strongly_monic, validate,
                               validation_passed)
 
 from conftest import CTX2, GA, GB, GC, GD, BRANCH_C, rand_unipoly
@@ -212,6 +213,37 @@ class TestSegmentInvariant:
     @pytest.mark.parametrize("p, g, depth, branch", DEEP_BRANCHES)
     def test_deep_branches(self, p, g, depth, branch):
         self.check(build_chain(ValuedFieldCtx(p), UniPoly(g), branch, depth=depth))
+
+
+class TestStrongMonicity:
+    """The recursive-evaluator predicate agrees with the oracle route: on
+    every I1 successor pair its top index lies in the oracle's S-set."""
+
+    @staticmethod
+    def check(chain):
+        pairs = [(i, ell) for i, ell, _ in segment(chain).succ_pairs if ell != IMAX]
+        for i, ell in pairs:
+            passed, witness = strongly_monic(chain, ell, i)
+            assert passed, (ell, i, witness)
+            assert witness["top_index"] in s_set(chain, i, chain.entries[ell].Q).indices
+        return len(pairs)
+
+    def test_worked_contexts(self, all_chains, chain_a_collapsed):
+        chains = list(all_chains.values()) + [chain_a_collapsed]
+        assert sum(self.check(chain) for chain in chains) > 0
+
+    @pytest.mark.parametrize("p, g, depth, branch", DEEP_BRANCHES)
+    def test_deep_branches(self, p, g, depth, branch):
+        assert self.check(build_chain(ValuedFieldCtx(p), UniPoly(g), branch, depth=depth))
+
+
+class TestDepthCut:
+    def test_cut_inside_finite_plateau(self):
+        # x^2 + 3 over Q_2 is complete at depth 3; its first key x pins no root
+        with pytest.raises(InsufficientDepth, match="depth 1"):
+            build_chain(CTX2, GA, "unique", depth=1)
+        with pytest.raises(InsufficientDepth, match="depth 1"):
+            build_chain(CTX2, GC, "unique", depth=1)
 
 
 class TestValidate:

@@ -5,10 +5,12 @@ import pytest
 
 from valring.algebra import INF, UniPoly
 from valring.errors import InsufficientDepth, MalformedInput, NotInIdeal
-from valring.keychain import build_chain
+from valring.keychain import build_chain, segment
 from valring.presentrel import ideal_generators
-from valring.verify import (check_relations, completeness_probe, eval_e,
-                            eval_eta, integral_rep, membership)
+from valring.rewrite import in_x0, total_reduction, total_s_building
+from valring.verify import (_membership_anchor, check_relations,
+                            completeness_probe, eval_e, eval_eta, integral_rep,
+                            membership)
 from valring.xpoly import XPoly
 
 from conftest import BRANCH_C, CTX2, GA, GB, GC, GD, rand_unipoly, rand_xpoly
@@ -197,6 +199,30 @@ class TestMembership:
             F = body * (X(0) + 3)
             cert = membership(chain, F)
             assert cert.re_expand(gens) == F
+
+    @pytest.mark.parametrize("mode", ["full", "collapsed"])
+    @pytest.mark.parametrize("g, branch", [(GA, "unique"), (GB, "unique"),
+                                           (GC, BRANCH_C), (GD, "unique")])
+    def test_reduction_of_building_is_image(self, g, branch, mode):
+        # the constructive route (total s-building at the certificate's
+        # level, then total reduction) yields F's image in X_0 = Qt_0, which
+        # membership divides directly
+        chain = build_chain(CTX2, g, branch, depth=4, mode=mode)
+        gens = ideal_generators(chain)
+        seg = segment(chain)
+        rng = random.Random(31)
+        bodies = [gen.relation_poly if gen.kind == "I1" else gen.Q_poly
+                  for gen in list(gens.i1) + list(gens.i2)]
+        for F in [body * (X(0) + 3) for body in bodies] + [
+                sum((rand_xpoly(rng, chain.star_positions, max_exp=1) * body
+                     for body in bodies), XPoly.zero()) for _ in range(3)]:
+            if F.is_zero:
+                continue
+            s = max((seg.offset(k) for k in F.variables()), default=0)
+            anchor = _membership_anchor(chain, s)
+            f_s = total_s_building(chain, F, max(s, seg.offset(anchor)), through=anchor)
+            assert total_reduction(chain, f_s) == in_x0(chain, eval_e(chain, F))
+            assert (eval_e(chain, F) % chain.g).is_zero
 
     def test_exc_insufficient_depth(self):
         from valring.keychain import build_chain
