@@ -8,8 +8,10 @@ where INF is the valuation of zero.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 
 from .errors import (
@@ -82,18 +84,32 @@ def _as_fraction(a) -> Fraction:
     raise MalformedInput(f"not an exact rational: {a!r}")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Miller-Rabin with the bases above is proven correct below this bound, which
+# is itself a strong pseudoprime to all of them (Sorenson and Webster, 2015)
+P_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality test for n < P_BOUND."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -104,6 +120,9 @@ class ValuedFieldCtx:
     p: int
 
     def __post_init__(self):
+        if isinstance(self.p, int) and self.p >= P_BOUND:
+            raise MalformedInput(f"p must be below {P_BOUND}, the bound of the "
+                                 f"deterministic primality test, got {self.p!r}")
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise MalformedInput(f"p must be prime, got {self.p!r}")
 
@@ -388,15 +407,18 @@ def hensel_root(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, n_digits: i
 
     The seed must satisfy v(g(seed)) > 2 v(g'(seed)); the returned class is
     the unique root congruent to the seed.  Lifting is digit by digit, which
-    keeps every valuation test exact.
+    keeps every valuation test exact: with d = v(g'(x)) and root == x mod
+    p**k, k > d, the next digit t solves g(x)/p**(d+k) + t g'(x)/p**d == 0
+    mod p, since the Taylor terms of order >= 2 have value >= 2k > d + k.
     """
     if not g.is_integral or g.is_zero:
         raise MalformedInput("hensel_root needs a nonzero integral polynomial")
     p = ctx.p
     s = seed.value % (p ** seed.precision)
-    dginv = g.derivative()
-    vg = pval(ctx, g(s))
-    vdg = pval(ctx, dginv(s))
+    dg = g.derivative()
+    gx = g(s)
+    vg = pval(ctx, gx)
+    vdg = pval(ctx, dg(s))
     if vdg is INF:
         raise NoConvergence("derivative vanishes at seed")
     if not (vg is INF or vg > 2 * vdg):
@@ -410,16 +432,14 @@ def hensel_root(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, n_digits: i
     k = vg - d  # current agreement: root == x mod p**k
     x = s
     while k < n_digits:
-        need = d + k + 1
-        step = p ** k
-        for digit in range(p):
-            cand = x + digit * step
-            vc = pval(ctx, g(cand))
-            if vc is INF or vc >= need:
-                x = cand
-                break
-        else:
+        unit = int(dg(x)) // p ** d
+        digit = -(int(gx) // p ** (d + k)) * pow(unit, -1, p) % p
+        cand = x + digit * p ** k
+        gx = g(cand)
+        vc = pval(ctx, gx)
+        if not (vc is INF or vc >= d + k + 1):
             raise NoConvergence("no digit continues the convergent branch")
+        x = cand
         k += 1
     r = x % (p ** n_digits)
     if r % (p ** min(seed.precision, n_digits)) != s % (p ** min(seed.precision, n_digits)):
@@ -554,7 +574,8 @@ class ResidueField:
         self.k = len(self.modulus) - 1
         if self.k < 1:
             raise MalformedInput("modulus must be nonconstant")
-        if self.k > 1 and not self._modulus_irreducible():
+        self._prime = self if self.k == 1 else ResidueField(p)
+        if self.k > 1 and not self._prime._poly_irreducible(self.modulus):
             raise MalformedInput("modulus is reducible")
 
     # -- construction -----------------------------------------------------
@@ -575,9 +596,6 @@ class ResidueField:
             if base._poly_irreducible(cand):
                 return cls(p, cand)
         raise MalformedInput("no irreducible found")  # unreachable
-
-    def _modulus_irreducible(self) -> bool:
-        return ResidueField(self.p)._poly_irreducible(self.modulus)
 
     # -- element arithmetic ------------------------------------------------
 
@@ -640,8 +658,18 @@ class ResidueField:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero in residue field")
-        # a^(q-2) with q = p^k
-        return self.pow(a, self.p ** self.k - 2)
+        if self.k == 1:
+            return (pow(a[0], -1, self.p),)
+        # extended Euclid in F_p[t]: s_i * a == r_i mod the modulus
+        fp = self._prime
+        r0, r1 = tuple((c,) for c in self.modulus), fp.poly_norm([(c,) for c in a])
+        s0, s1 = (), (fp.one,)
+        while len(r1) > 1:
+            q, r = fp.poly_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, fp.poly_sub(s0, fp.poly_mul(q, s1))
+        c = pow(r1[0][0], -1, self.p)
+        s = [sc * c % self.p for (sc,) in s1]
+        return tuple(s) + (0,) * (self.k - len(s))
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -669,20 +697,56 @@ class ResidueField:
             cs.pop()
         return tuple(cs)
 
+    def poly_add(self, f, g):
+        return self.poly_norm([self.add(a, b) for a, b in zip_longest(f, g, fillvalue=self.zero)])
+
+    def poly_sub(self, f, g):
+        return self.poly_add(f, [self.neg(c) for c in g])
+
+    def poly_mul(self, f, g):
+        if not f or not g:
+            return ()
+        out = [self.zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if self.is_zero(a):
+                continue
+            for j, b in enumerate(g):
+                out[i + j] = self.add(out[i + j], self.mul(a, b))
+        return self.poly_norm(out)
+
+    def poly_mulmod(self, f, g, m):
+        return self.poly_divmod(self.poly_mul(f, g), m)[1]
+
+    def poly_powmod(self, f, n: int, m):
+        out, f = (self.one,), self.poly_divmod(f, m)[1]
+        while n:
+            if n & 1:
+                out = self.poly_mulmod(out, f, m)
+            n >>= 1
+            if n:
+                f = self.poly_mulmod(f, f, m)
+        return out
+
+    def poly_gcd(self, f, g):
+        """The monic gcd, by Euclid's algorithm."""
+        while g:
+            f, g = g, self.poly_divmod(f, g)[1]
+        return self.poly_monic(f)
+
     def poly_divmod(self, f, g):
         f = list(f)
         if not g:
             raise ZeroDivisionError
         dg = len(g) - 1
-        lcinv = self.inv(g[-1])
         if len(f) - 1 < dg:
             return (), self.poly_norm(f)
+        lcinv = None if g[-1] == self.one else self.inv(g[-1])
         quot = [self.zero] * (len(f) - dg)
         for k in range(len(f) - 1, dg - 1, -1):
             c = f[k]
             if self.is_zero(c):
                 continue
-            q = self.mul(c, lcinv)
+            q = c if lcinv is None else self.mul(c, lcinv)
             quot[k - dg] = q
             for j in range(dg + 1):
                 f[k - dg + j] = self.sub(f[k - dg + j], self.mul(q, g[j]))
@@ -720,32 +784,91 @@ class ResidueField:
 
     def factor_monic(self, f):
         """Distinct monic irreducible factors of f with multiplicities, in
-        canonical (degree, lex) order.  Brute-force trial division; residual
-        polynomials here are tiny."""
+        canonical order: by degree, then c_0, c_1, ... compared in turn, each
+        coefficient ranked by its index in elements().
+
+        Squarefree decomposition, distinct-degree factorization and
+        Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
+        Modern Computer Algebra, ch. 14), with splitting polynomials drawn
+        from a generator seeded inside the call, then sorted."""
         f = self.poly_monic(self.poly_norm(f))
         if len(f) - 1 < 1:
             return []
+        if len(f) - 1 == 1:
+            return [(f, 1)]
+        rng = random.Random(0)
+        out = [(fac, mult)
+               for part, mult in self._squarefree(f)
+               for d, same in self._distinct_degree(part)
+               for fac in self._equal_degree(same, d, rng)]
+        return sorted(out, key=lambda fm: (len(fm[0]), [c[::-1] for c in fm[0]]))
+
+    def _squarefree(self, f):
+        """(part, multiplicity) pairs of the monic f: each part is monic,
+        squarefree and the product of the irreducible factors of f of that
+        multiplicity."""
         out = []
-        deg = 1
-        while len(f) - 1 >= 1:
-            if deg > (len(f) - 1):
-                raise AssertionError("factorization fell through")
-            found = False
-            for g in self.monic_polys(deg):
-                mult = 0
-                while True:
-                    q, r = self.poly_divmod(f, g)
-                    if r:
-                        break
-                    f = q
-                    mult += 1
-                if mult:
-                    out.append((g, mult))
-                    found = True
-                    if len(f) - 1 < 1:
-                        break
-            deg += 1
+        c = self.poly_gcd(f, self._poly_derivative(f))
+        w = self.poly_divmod(f, c)[0]
+        i = 1
+        while len(w) > 1:
+            # w: the factors of multiplicity >= i prime to p; w / gcd(w, c):
+            # those of multiplicity exactly i
+            y = self.poly_gcd(w, c)
+            part = self.poly_divmod(w, y)[0]
+            if len(part) > 1:
+                out.append((part, i))
+            w, c, i = y, self.poly_divmod(c, y)[0], i + 1
+        if len(c) > 1:
+            # c is a p-th power: take the p-th root, a -> a^(p^(k-1)) on
+            # the coefficients of t^(p j)
+            root = self.p ** (self.k - 1)
+            c = tuple(self.pow(a, root) for a in c[::self.p])
+            out.extend((part, m * self.p) for part, m in self._squarefree(c))
         return out
+
+    def _poly_derivative(self, f):
+        return self.poly_norm([tuple(j * x % self.p for x in a)
+                               for j, a in enumerate(f) if j])
+
+    def _distinct_degree(self, f):
+        """(d, product of the degree-d irreducible factors) of the monic
+        squarefree f, from gcd(f, t^(q^d) - t)."""
+        x = (self.zero, self.one)
+        out, h, d = [], x, 0
+        while len(f) - 1 >= 2 * (d + 1):
+            d += 1
+            h = self.poly_powmod(h, self.p ** self.k, f)
+            g = self.poly_gcd(f, self.poly_sub(h, x))
+            if len(g) > 1:
+                out.append((d, g))
+                f = self.poly_divmod(f, g)[0]
+                h = self.poly_divmod(h, f)[1]
+        if len(f) > 1:
+            out.append((len(f) - 1, f))
+        return out
+
+    def _equal_degree(self, f, d, rng):
+        """The irreducible factors of the monic squarefree f, all of degree d:
+        gcd(f, b) with b = a^((q^d - 1)/2) - 1 for odd p, or the trace
+        sum_{j < kd} a^(2^j) for p = 2, splits f for about half the a."""
+        if len(f) - 1 == d:
+            return [f]
+        while True:
+            a = self.poly_norm([tuple(rng.randrange(self.p) for _ in range(self.k))
+                                for _ in range(len(f) - 1)])
+            if self.p == 2:
+                b = t = a
+                for _ in range(self.k * d - 1):
+                    t = self.poly_mulmod(t, t, f)
+                    b = self.poly_add(b, t)
+            else:
+                e = (self.p ** (self.k * d) - 1) // 2
+                b = self.poly_sub(self.poly_powmod(a, e, f), (self.one,))
+            g = self.poly_gcd(f, b)
+            if 1 < len(g) < len(f):
+                return (self._equal_degree(g, d, rng)
+                        + self._equal_degree(self.poly_divmod(f, g)[0], d, rng))
 
     def extend_by(self, phi):
         """Extension by an irreducible phi over this field.

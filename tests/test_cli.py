@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -185,6 +186,28 @@ class TestMainExitCodes:
         path = self.write(tmp_path, {**EXA, **fields})
         assert main(["--config", path, "--command", command]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "malformed-input"
+
+    @pytest.mark.parametrize("command, doc", [
+        ("chain", {"p": 1000000007, "g": [3, 0, 1]}),
+        ("present", {"p": 1000000007, "g": [3, 0, 1]}),
+        ("check", {"p": 1000000007, "g": [3, 0, 1]}),
+        ("chain", {"p": 1000000007, "g": [-2, 0, 1], "branch": [[0, 0]], "depth": 4}),
+        ("chain", {"p": 1000000007, "g": [-2, 0, 1], "branch": [[0, 1]], "depth": 4}),
+        ("chain", {"p": 2305843009213693951, "g": [3, 0, 1], "branch": [[0, 0]], "depth": 6}),
+    ])
+    def test_large_prime_finishes(self, tmp_path, capsys, command, doc):
+        # residue-field factorization and Hensel digits cost polynomial in log p
+        path = self.write(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["--config", path, "--command", command]) == 0
+        assert time.perf_counter() - start < 2
+        assert "error" not in json.loads(capsys.readouterr().out)
+
+    def test_prime_above_primality_bound_exit1(self, tmp_path, capsys):
+        path = self.write(tmp_path, {"p": 3317044064679887385961981 + 2, "g": [3, 0, 1]})
+        assert main(["--config", path, "--command", "chain"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed-input" and "3317044064679887385961981" in out["message"]
 
     @pytest.mark.parametrize("g", [[3.0, 0, 1], [3.5, 0, 1]])
     def test_json_float_exit1(self, tmp_path, capsys, g):
