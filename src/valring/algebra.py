@@ -242,14 +242,15 @@ class UniPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
-        out = UniPoly((1,))
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return UniPoly((1,)) if out is None else out
 
     def __divmod__(self, other):
         """Exact division with remainder; divisor must be nonzero."""
@@ -565,6 +566,11 @@ class ResidueField:
     """
 
     def __init__(self, p: int, modulus=None):
+        self._set_modulus(p, modulus)
+        if self.k > 1 and not self._prime._poly_irreducible(self.modulus):
+            raise MalformedInput("modulus is reducible")
+
+    def _set_modulus(self, p: int, modulus):
         self.p = p
         if modulus is None:
             modulus = (0, 1)  # F_p itself: t
@@ -575,8 +581,6 @@ class ResidueField:
         if self.k < 1:
             raise MalformedInput("modulus must be nonconstant")
         self._prime = self if self.k == 1 else ResidueField(p)
-        if self.k > 1 and not self._prime._poly_irreducible(self.modulus):
-            raise MalformedInput("modulus is reducible")
 
     # -- construction -----------------------------------------------------
 
@@ -594,7 +598,10 @@ class ResidueField:
         for coeffs in _lex_tuples(p, k):
             cand = coeffs + (1,)
             if base._poly_irreducible(cand):
-                return cls(p, cand)
+                # the scan has just tested cand: skip the test in __init__
+                out = cls.__new__(cls)
+                out._set_modulus(p, cand)
+                return out
         raise MalformedInput("no irreducible found")  # unreachable
 
     # -- element arithmetic ------------------------------------------------

@@ -180,8 +180,10 @@ class KeyChain:
 
     def evaluate(self, F) -> UniPoly:
         """The evaluation X_i -> Qt_i(x) of a polynomial in the chain
-        variables, exactly in Q[x]."""
-        return F.eval_unipoly({k: ent.Qt for k, ent in enumerate(self.entries)})
+        variables, exactly in Q[x].  The powers Qt_i^v are kept in the
+        chain's cache."""
+        return F.eval_unipoly({k: ent.Qt for k, ent in enumerate(self.entries)},
+                              self.cache().setdefault("qt_powers", {}))
 
     def nu(self, h: UniPoly) -> OracleValue:
         # chains are immutable, so the cached Hensel root stays sound

@@ -39,8 +39,16 @@ def relation(chain: KeyChain, ell, i: int) -> RelationGen:
     For ell in I*, b is the inverse of the coefficient of the pure power
     Qt_i^r in the full i-th expansion of Qt_ell (the term that strong
     monicity guarantees attains the minimum); for ell = i_max,
-    b = p^(-nu_i(g)).
+    b = p^(-nu_i(g)).  Memoized in the chain's cache.
     """
+    memo = chain.cache().setdefault("relations", {})
+    gen = memo.get((ell, i))
+    if gen is None:
+        gen = memo[(ell, i)] = _relation(chain, ell, i)
+    return gen
+
+
+def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
     seg = segment(chain)
     if ell == chain.imax_pos and chain.complete:
         ell = IMAX

@@ -16,7 +16,7 @@ from .algebra import UniPoly, _qexpand_any
 from .errors import MalformedInput, StepCapExceeded
 from .keychain import KeyChain, segment
 from .presentrel import ideal_generators, relation
-from .xpoly import XPoly, _monom_key, power_expansion
+from .xpoly import XPoly, _monom_key, extend_powers, power_expansion
 
 LESS = "less"
 GREATER = "greater"
@@ -36,7 +36,7 @@ def vdeg(chain: KeyChain, F: XPoly) -> int:
     if F.is_zero:
         raise MalformedInput("virtual degree of zero")
     _check_positions(chain, F)
-    return max(_vdeg_monom(chain, m) for m in F.terms)
+    return max(_vdeg_monom(chain, m) for m in F.nums)
 
 
 def _vdeg_monom(chain, m):
@@ -128,22 +128,33 @@ def replay(chain: KeyChain, steps) -> XPoly:
     return ideal_generators(chain).combine((st.target, st.cofactor) for st in steps)
 
 
+def _body(chain: KeyChain, i: int, ell: int):
+    """The relation generator of the pair (i, ell) and the chain-cached list
+    [P^0, P^1, ...] of powers of its body P = Q_{li}/b_{li}, which
+    buildings, reductions and their traces share."""
+    gen = relation(chain, ell, i)
+    table = chain.cache().setdefault("body_powers", {})
+    powers = table.get((ell, i))
+    if powers is None:
+        powers = table[(ell, i)] = [XPoly.const(1), gen.Q_poly / gen.b]
+    return gen, powers
+
+
 def building(chain: KeyChain, F: XPoly, i: int, ell: int, trace=None) -> XPoly:
     """(i, ell)-building: write F in powers of Q_{li}/b_{li} with X_i-degree
     of the coefficients below deg_{Q_i} Q_l, then substitute X_ell."""
     _check_positions(chain, F)
-    gen = relation(chain, ell, i)
-    p_body = gen.Q_poly / gen.b
+    gen, powers = _body(chain, i, ell)
     r = chain.entries[ell].Q.degree // chain.entries[i].Q.degree
     if F.degree_in(i) < r:
         return F
-    coeffs = power_expansion(F, p_body, i)
-    out = XPoly.zero()
+    coeffs = power_expansion(F, powers[1], i)
     xell = XPoly.var(ell)
-    for j, aj in enumerate(coeffs):
-        out = out + aj * xell ** j
+    out = coeffs[-1]
+    for aj in reversed(coeffs[:-1]):
+        out = out * xell + aj
     if trace is not None:
-        cof = _trace_cofactor(enumerate(coeffs), xell, p_body, gen.b)
+        cof = _trace_cofactor(enumerate(coeffs), xell, powers, gen.b)
         trace.append(TraceStep((i, ell), ell, cof, "building"))
     return out
 
@@ -151,25 +162,30 @@ def building(chain: KeyChain, F: XPoly, i: int, ell: int, trace=None) -> XPoly:
 def reduction(chain: KeyChain, F: XPoly, i: int, ell: int, trace=None) -> XPoly:
     """(i, ell)-reduction: substitute Q_{li}/b_{li} for X_ell."""
     _check_positions(chain, F)
-    gen = relation(chain, ell, i)
-    p_body = gen.Q_poly / gen.b
-    out = F.substitute(ell, p_body)
+    gen, powers = _body(chain, i, ell)
+    out = F.substitute(ell, powers[1], powers)
     if trace is not None:
-        cof = _trace_cofactor(F.coeffs_in(ell).items(), XPoly.var(ell), p_body, gen.b)
+        cof = _trace_cofactor(F.coeffs_in(ell).items(), XPoly.var(ell), powers, gen.b)
         trace.append(TraceStep((i, ell), ell, -cof, "reduction"))
     return out
 
 
-def _trace_cofactor(powers, xell: XPoly, p_body: XPoly, b) -> XPoly:
-    """S / b with S = sum a_j (X_ell^j - P^j) / (X_ell - P) over the pairs
-    (j, a_j): sum a_j X_ell^j - sum a_j P^j = (S / b) * (b X_ell - b P), and
-    b X_ell - b P is the relation generator of the pair."""
+def _trace_cofactor(pairs, xell: XPoly, powers: list, b) -> XPoly:
+    """S / b with S = sum a_j H_j over the pairs (j, a_j), where
+    H_j = (X_ell^j - P^j) / (X_ell - P) follows H_1 = 1,
+    H_j = X_ell H_{j-1} + P^(j-1): sum a_j X_ell^j - sum a_j P^j =
+    (S / b) * (b X_ell - b P), and b X_ell - b P is the relation generator
+    of the pair.  `powers` is the shared list of powers of P."""
+    coeffs = dict(pairs)
+    top = max(coeffs, default=0)
+    extend_powers(powers, top - 1)
     s_acc = XPoly.zero()
-    for j, aj in powers:
-        if aj.is_zero:
-            continue
-        for mth in range(j):
-            s_acc = s_acc + aj * xell ** mth * p_body ** (j - 1 - mth)
+    h = XPoly.zero()
+    for j in range(1, top + 1):
+        h = h * xell + powers[j - 1]
+        aj = coeffs.get(j)
+        if aj is not None and not aj.is_zero:
+            s_acc = s_acc + aj * h
     return s_acc / b
 
 
@@ -217,8 +233,8 @@ def total_s_building(chain: KeyChain, F: XPoly, s: int, trace=None,
             raise MalformedInput(
                 f"X_{k} sits at offset {seg.offset(k)} > s = {s}")
     window = _window(chain, F, s, through)
-    n_monoms = len(F.terms)
-    max_expsum = max((sum(e for _, e in m) for m in F.terms), default=0)
+    n_monoms = len(F.nums)
+    max_expsum = max((sum(e for _, e in m) for m in F.nums), default=0)
     cap = 10 * max(1, n_monoms) * (len(window) + max_expsum) ** 2 + 10
     cur = F
     steps = 0

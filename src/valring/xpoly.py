@@ -1,16 +1,23 @@
 """Sparse exact polynomials in the chain variables X_0, X_1, ...
 
 A monomial is a tuple of (position, exponent) pairs sorted by position with
-all exponents positive; the empty tuple is 1.  Terms are kept in a dict, so
-equality is syntactic once zero coefficients are dropped.
+all exponents positive; the empty tuple is 1.
+
+An XPoly stores integer numerators over one positive common denominator, as
+FLINT's fmpq_poly does: `nums` maps each monomial to a nonzero int, `den` is
+a positive int, and gcd(content, den) = 1.  The representation is therefore
+canonical, so equality and hashing are syntactic, and the inner loops of
+arithmetic, division and evaluation run on ints.  `terms` is the read-only
+view monomial -> Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
-from .algebra import UniPoly, _as_fraction, pval
+from .algebra import UniPoly, _as_fraction, _intval
 
 Monom = tuple
 
@@ -20,10 +27,19 @@ def monom(d: dict) -> Monom:
 
 
 def monom_mul(a: Monom, b: Monom) -> Monom:
+    """Product of two canonical monomials."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     out = dict(a)
     for k, v in b:
         out[k] = out.get(k, 0) + v
-    return monom(out)
+    return tuple(sorted(out.items()))
 
 
 def monom_degree_in(m: Monom, pos: int) -> int:
@@ -33,8 +49,44 @@ def monom_degree_in(m: Monom, pos: int) -> int:
     return 0
 
 
+def _split(nums: dict, pos: int) -> dict:
+    """{e: {monomial without X_pos: numerator}} over the X_pos-degrees e."""
+    out = {}
+    for m, c in nums.items():
+        e = 0
+        rest = m
+        for idx, (k, v) in enumerate(m):
+            if k == pos:
+                e = v
+                rest = m[:idx] + m[idx + 1:]
+                break
+        out.setdefault(e, {})[rest] = c
+    return out
+
+
+def _unsplit(parts, pos: int) -> dict:
+    """{monomial: numerator} from (e, {monomial without X_pos: numerator},
+    scale) triples: the inverse of `_split`, each part times X_pos^e and
+    its scale."""
+    out = {}
+    for e, t, s in parts:
+        x = ((pos, e),) if e else ()
+        for m, c in t.items():
+            out[monom_mul(m, x)] = c * s
+    return out
+
+
+def _mul_into(acc: dict, a: dict, b: dict, scale: int = 1) -> None:
+    """acc += scale * a * b on numerator dicts."""
+    for m1, c1 in a.items():
+        c1 *= scale
+        for m2, c2 in b.items():
+            m = monom_mul(m1, m2)
+            acc[m] = acc.get(m, 0) + c1 * c2
+
+
 class XPoly:
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, terms=None):
         t = {}
@@ -44,20 +96,49 @@ class XPoly:
                 if c == 0:
                     continue
                 m = monom(dict(m))
-                c0 = t.get(m)
-                t[m] = c if c0 is None else c0 + c
-                if t[m] == 0:
-                    del t[m]
-        object.__setattr__(self, "terms", t)
+                t[m] = t.get(m, 0) + c
+        # lowest-terms coefficients over the lcm of their denominators have
+        # content coprime to it
+        den = lcm(*(c.denominator for c in t.values()))
+        _set(self, "nums", {m: c.numerator * (den // c.denominator) for m, c in t.items() if c})
+        _set(self, "den", den)
+
+    @classmethod
+    def _raw(cls, nums: dict, den: int) -> "XPoly":
+        """An XPoly from canonical data: canonical monomials, nonzero
+        numerators, den > 0 and gcd(content, den) = 1."""
+        out = _new(cls)
+        _set(out, "nums", nums)
+        _set(out, "den", den)
+        return out
+
+    @classmethod
+    def _make(cls, nums: dict, den: int) -> "XPoly":
+        """An XPoly from canonical monomials with int numerators over a
+        positive den: drops zeros and divides out gcd(content, den)."""
+        nums = {m: c for m, c in nums.items() if c}
+        if not nums:
+            return cls._raw(nums, 1)
+        if den != 1:
+            g = gcd(den, *nums.values())
+            if g != 1:
+                den //= g
+                nums = {m: c // g for m, c in nums.items()}
+        return cls._raw(nums, den)
 
     def __setattr__(self, *a):
         raise AttributeError("XPoly is immutable")
+
+    @property
+    def terms(self):
+        """Read-only view monomial -> Fraction."""
+        return MappingProxyType({m: Fraction(c, self.den) for m, c in self.nums.items()})
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def var(cls, pos: int) -> "XPoly":
-        return cls({((pos, 1),): Fraction(1)})
+        return cls._raw({((pos, 1),): 1}, 1)
 
     @classmethod
     def const(cls, c) -> "XPoly":
@@ -65,7 +146,7 @@ class XPoly:
 
     @classmethod
     def zero(cls) -> "XPoly":
-        return cls()
+        return cls._raw({}, 1)
 
     @classmethod
     def from_unipoly(cls, u: UniPoly, pos: int) -> "XPoly":
@@ -75,66 +156,51 @@ class XPoly:
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(m == () for m in self.terms)
-
-    def constant_value(self) -> Fraction:
-        return self.terms.get((), Fraction(0))
+        return not self.nums
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            for k, _ in m:
-                out.add(k)
-        return sorted(out)
+        return sorted({k for m in self.nums for k, _ in m})
 
     def degree_in(self, pos: int) -> int:
-        return max((monom_degree_in(m, pos) for m in self.terms), default=0)
+        return max((monom_degree_in(m, pos) for m in self.nums), default=0)
 
     def coeffs_in(self, pos: int):
         """Decompose as a polynomial in X_pos: dict exponent -> XPoly free
         of X_pos."""
-        out = {}
-        for m, c in self.terms.items():
-            e = monom_degree_in(m, pos)
-            rest = tuple((k, v) for k, v in m if k != pos)
-            out.setdefault(e, {})
-            out[e][rest] = out[e].get(rest, Fraction(0)) + c
-        return {e: XPoly(t) for e, t in out.items() if any(v != 0 for v in t.values())}
+        return {e: XPoly._make(t, self.den) for e, t in _split(self.nums, pos).items()}
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
+        return self.den == 1
 
     def denominator_lcm(self) -> int:
-        return lcm(*(c.denominator for c in self.terms.values()))
+        # gcd(content, den) = 1 makes den the lcm of the reduced denominators
+        return self.den
 
     # -- arithmetic ----------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = XPoly.const(other)
-        return isinstance(other, XPoly) and self.terms == other.terms
+        return isinstance(other, XPoly) and self.den == other.den \
+            and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.nums.items()), self.den))
 
     def __add__(self, other):
         other = self._coerce(other)
-        t = dict(self.terms)
-        for m, c in other.terms.items():
-            t[m] = t.get(m, Fraction(0)) + c
-            if t[m] == 0:
-                del t[m]
-        return XPoly(t)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        t = {m: c * sa for m, c in self.nums.items()}
+        for m, c in other.nums.items():
+            t[m] = t.get(m, 0) + c * sb
+        return XPoly._make(t, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XPoly({m: -c for m, c in self.terms.items()})
+        return XPoly._raw({m: -c for m, c in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -145,30 +211,36 @@ class XPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             other = _as_fraction(other)
-            return XPoly({m: c * other for m, c in self.terms.items()})
+            return XPoly._make({m: c * other.numerator for m, c in self.nums.items()},
+                               self.den * other.denominator)
         other = self._coerce(other)
         t = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monom_mul(m1, m2)
-                t[m] = t.get(m, Fraction(0)) + c1 * c2
-        return XPoly(t)
+        _mul_into(t, self.nums, other.nums)
+        return XPoly._make(t, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         scalar = _as_fraction(scalar)
-        return XPoly({m: c / scalar for m, c in self.terms.items()})
+        if scalar == 0:
+            raise ZeroDivisionError("XPoly division by zero")
+        u, w = scalar.numerator, scalar.denominator
+        if u < 0:
+            u, w = -u, -w
+        return XPoly._make({m: c * w for m, c in self.nums.items()}, self.den * u)
 
     def __pow__(self, n: int):
-        out = XPoly.const(1)
+        if n < 0:
+            raise ValueError("negative power")
+        out = None
         base = self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return XPoly.const(1) if out is None else out
 
     @staticmethod
     def _coerce(other) -> "XPoly":
@@ -180,24 +252,54 @@ class XPoly:
 
     # -- substitution ----------------------------------------------------------
 
-    def substitute(self, pos: int, repl: "XPoly") -> "XPoly":
-        out = XPoly.zero()
-        powers = {0: XPoly.const(1)}
-        for e, coeff in self.coeffs_in(pos).items():
-            if e not in powers:
-                powers[e] = repl ** e
-            out = out + coeff * powers[e]
-        return out
+    def substitute(self, pos: int, repl: "XPoly", powers=None) -> "XPoly":
+        """X_pos -> repl.  `powers`, when given, is a list [repl^0, repl^1,
+        ...] that is read and extended in place (see `extend_powers`), so
+        callers substituting the same repl repeatedly share one table."""
+        parts = _split(self.nums, pos)
+        powers = extend_powers(powers or [XPoly.const(1), repl], max(parts, default=0))
+        den = lcm(*(powers[e].den for e in parts))
+        acc = {}
+        for e, t in parts.items():
+            pe = powers[e]
+            _mul_into(acc, t, pe.nums, den // pe.den)
+        return XPoly._make(acc, self.den * den)
 
-    def eval_unipoly(self, images: dict) -> UniPoly:
-        """Substitute UniPoly images for every variable; exact result in Q[x]."""
-        out = UniPoly()
-        for m, c in self.terms.items():
-            term = UniPoly((c,))
+    def eval_unipoly(self, images: dict, powers=None) -> UniPoly:
+        """Substitute UniPoly images for every variable; exact result in Q[x].
+
+        `powers`, when given, is a dict pos -> [(numerators, den) of
+        images[pos]^v for v = 0, 1, ...] that is read and extended in place,
+        so callers evaluating against the same images share one table."""
+        if powers is None:
+            powers = {}
+        acc = {}  # image denominator -> integer coefficient list
+        for m, c in self.nums.items():
+            num, d = None, 1
             for k, v in m:
-                term = term * images[k] ** v
-            out = out + term
-        return out
+                pk = powers.get(k)
+                if pk is None:
+                    pk = powers[k] = [([1], 1), _int_coeffs(images[k])]
+                while len(pk) <= v:
+                    (n1, d1), (nv, dv) = pk[1], pk[-1]
+                    pk.append((_iconv(nv, n1), dv * d1))
+                pn, pd = pk[v]
+                num = [c * a for a in pn] if num is None else _iconv(num, pn)
+                d *= pd
+            if num is None:
+                num = [c]
+            row = acc.setdefault(d, [])
+            row.extend([0] * (len(num) - len(row)))
+            for j, a in enumerate(num):
+                row[j] += a
+        den = lcm(*acc)
+        total = [0] * max(map(len, acc.values()), default=0)
+        for d, row in acc.items():
+            s = den // d
+            for j, a in enumerate(row):
+                total[j] += a * s
+        den *= self.den
+        return UniPoly(tuple(Fraction(a, den) for a in total))
 
     def to_unipoly(self, pos: int) -> UniPoly:
         """View a polynomial supported on the single variable X_pos as a
@@ -238,6 +340,33 @@ class XPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
+def extend_powers(powers: list, n: int) -> list:
+    """Extend a list [P^0, P^1, ...] in place to hold P^n; return it."""
+    while len(powers) <= n:
+        powers.append(powers[-1] * powers[1])
+    return powers
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _int_coeffs(u: UniPoly):
+    """(integer numerators, den) with u = numerators / den."""
+    den = lcm(*(c.denominator for c in u.coeffs))
+    return [c.numerator * (den // c.denominator) for c in u.coeffs], den
+
+
+def _iconv(a: list, b: list) -> list:
+    """Product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
 def _monom_key(m: Monom):
     if not m:
         return ()
@@ -249,33 +378,46 @@ def mu0(ctx, F: XPoly):
     """Minimum of the p-adic values of the coefficients."""
     if F.is_zero:
         raise ValueError("mu0 of the zero polynomial")
-    p_ctx = getattr(ctx, "ctx", ctx)
-    return min(pval(p_ctx, c) for c in F.terms.values())
+    p = getattr(ctx, "ctx", ctx).p
+    return min(_intval(p, c) for c in F.nums.values()) - _intval(p, F.den)
 
 
 def divmod_in_var(F: XPoly, P: XPoly, pos: int):
     """Division of F by P in the variable X_pos.
 
     P must have a nonzero constant (variable-free) leading coefficient in
-    X_pos; the remainder has strictly smaller X_pos-degree.
+    X_pos; the remainder has strictly smaller X_pos-degree.  F is bucketed
+    by X_pos-degree once and the buckets are reduced top down against the
+    monic divisor P / lc; for a linear P this is synthetic division.
     """
-    r = P.degree_in(pos)
-    lead = P.coeffs_in(pos).get(r)
-    if lead is None or not lead.is_constant:
+    pb = _split(P.nums, pos)
+    r = max(pb, default=-1)
+    lead = pb.get(r)
+    if lead is None or list(lead) != [()]:
         raise ValueError("divisor leading coefficient must be a nonzero constant")
-    lc = lead.constant_value()
-    quot = XPoly.zero()
-    rem = F
-    d = rem.degree_in(pos)
-    while d >= r and not rem.is_zero:
-        shift = XPoly({((pos, d - r),) if d > r else (): Fraction(1)})
-        q = rem.coeffs_in(pos)[d] * shift / lc
-        quot = quot + q
-        rem = rem - q * P
-        last, d = d, rem.degree_in(pos)
-        if not rem.is_zero and d >= last:
-            raise AssertionError("division failed to reduce degree")
-    return quot, rem
+    lcn = lead[()]
+    lsign = 1 if lcn > 0 else -1
+    mden = lcn * lsign
+    # P_j / lc has numerators lsign * P_j over mden; stored negated so each
+    # step adds
+    low = [(j - r, {m: -lsign * c for m, c in t.items()}) for j, t in pb.items() if j != r]
+    buckets = _split(F.nums, pos)
+    w = F.den
+    parts = []  # (X_pos-degree of the quotient term, numerators, their den)
+    for d in range(max(buckets, default=-1), r - 1, -1):
+        bd = {m: c for m, c in buckets.pop(d, {}).items() if c}
+        if not bd:
+            continue
+        parts.append((d - r, bd, w))
+        if mden != 1:
+            w *= mden
+            buckets = {e: {m: c * mden for m, c in t.items()} for e, t in buckets.items()}
+        for off, pj in low:
+            _mul_into(buckets.setdefault(d + off, {}), bd, pj)
+    # quotient = sum X_pos^e * bd / w_e / lc, with lc = lcn / P.den
+    quot = _unsplit(((e, bd, (w // we) * P.den * lsign) for e, bd, we in parts), pos)
+    rem = _unsplit(((e, t, 1) for e, t in buckets.items()), pos)
+    return XPoly._make(quot, w * mden), XPoly._make(rem, w)
 
 
 def power_expansion(F: XPoly, P: XPoly, pos: int):

@@ -113,6 +113,13 @@ class TestUniPoly:
     def test_repr(self):
         assert repr(P(3, 0, 1)) == "x^2 + 3"
 
+    def test_power_is_repeated_multiplication(self):
+        x = P(Fraction(1, 2), -3, 1)
+        acc = P(1)
+        for n in range(10):
+            assert x ** n == acc, n
+            acc = acc * x
+
 
 class TestQexpand:
     def test_quadratic_shift(self):
@@ -301,6 +308,25 @@ class TestResidueField:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(MalformedInput):
             ResidueField(2, (1, 0, 1))
+
+    def test_of_degree_tests_each_candidate_once(self, monkeypatch):
+        calls = []
+        real = ResidueField._poly_irreducible
+
+        def counted(self, cs):
+            calls.append(tuple(cs))
+            return real(self, cs)
+
+        monkeypatch.setattr(ResidueField, "_poly_irreducible", counted)
+        f16 = ResidueField.of_degree(2, 4)
+        assert f16.modulus == (1, 1, 0, 0, 1)
+        # x^4, x^4 + 1, x^4 + x, x^4 + x + 1 in scan order, the winner once
+        assert calls == [(0, 0, 0, 0, 1), (1, 0, 0, 0, 1), (0, 1, 0, 0, 1),
+                         (1, 1, 0, 0, 1)]
+        # a user-supplied modulus is still checked
+        calls.clear()
+        ResidueField(2, (1, 1, 0, 0, 1))
+        assert calls == [(1, 1, 0, 0, 1)]
 
     def test_extend_by(self):
         f2 = ResidueField.prime(2)

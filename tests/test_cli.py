@@ -1,4 +1,5 @@
 import json
+import random
 import time
 
 import pytest
@@ -8,9 +9,12 @@ from valring.cli import (JobConfig, deserialize, fmt_unipoly, fmt_value,
                          parse_xpoly, run, serialize)
 from valring.algebra import INF, UniPoly
 from valring.errors import MalformedInput
+from valring.keychain import IMAX, segment
+from valring.presentrel import ideal_generators
+from valring.rewrite import building, reduction
 from valring.xpoly import XPoly
 
-from conftest import GA
+from conftest import GA, rand_xpoly
 
 EXA = {"p": 2, "g": ["3", "0", "1"], "branch": "unique", "depth": 8, "mode": "full"}
 EXC = {"p": 2, "g": ["7", "0", "1"], "branch": [[0, 0]], "depth": 4, "mode": "full"}
@@ -107,6 +111,37 @@ class TestRun:
         doc = run("check", cfg({**EXA, "seed": 5}))
         assert doc["validation_passed"] and doc["relations_passed"]
         assert doc["monotonicity"]["violations"] == 0
+
+
+class TestPairPayload:
+    """`build`/`reduce` with a `pair` payload run one (i, ell)-building or
+    reduction: the CLI output is the library's, and the trace replays."""
+
+    @pytest.mark.parametrize("doc", [EXA, EXC], ids=["A", "C"])
+    @pytest.mark.parametrize("command, op", [("build", building), ("reduce", reduction)])
+    def test_matches_library_and_trace_replays(self, doc, command, op):
+        chain = cfg(doc).chain()
+        gens = ideal_generators(chain)
+        pairs = [(i, ell) for (i, ell, _) in segment(chain).succ_pairs if ell != IMAX]
+        assert pairs
+        rng = random.Random(20250505)
+        moved = 0
+        for i, ell in pairs:
+            for _ in range(6):
+                F = rand_xpoly(rng, chain.star_positions)
+                payload = {"xpoly": fmt_xpoly(F), "pair": [i, ell]}
+                out = run(command, cfg({**doc, "payload": payload}), trace=True)
+                want = op(chain, F, i, ell)
+                assert out["result"] == fmt_xpoly(want), (command, i, ell, F)
+                assert run(command, cfg({**doc, "payload": payload})) == \
+                    {"result": out["result"]}
+                replayed = gens.combine(
+                    (int(st["target"]), parse_xpoly(st["cofactor"])) for st in out["trace"])
+                assert replayed == parse_xpoly(out["result"]) - F, (command, i, ell, F)
+                assert all(st["pair"] == [i, ell] and st["target"] == str(ell)
+                           for st in out["trace"])
+                moved += want != F
+        assert moved, "no job changed its input"
 
 
 class TestMainExitCodes:
