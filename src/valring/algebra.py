@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     MalformedDivisor,
@@ -149,69 +149,139 @@ def pval(ctx: ValuedFieldCtx, a):
 # Univariate polynomials over Q, little-endian coefficients
 # ---------------------------------------------------------------------------
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _iconv(a, b) -> list:
+    """Product of two integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _idivmod(f: list, dn) -> list:
+    """Divide the int list f in place by the int list dn, whose leading
+    entry divides every quotient digit exactly (it is 1 for a monic
+    divisor): returns the quotient and leaves the remainder in f."""
+    dq = len(dn) - 1
+    lead, low = dn[-1], dn[:-1]
+    quot = [0] * (len(f) - dq)
+    for k in range(len(f) - 1, dq - 1, -1):
+        c = f[k]
+        if c:
+            if lead != 1:
+                c //= lead
+            quot[k - dq] = c
+            for j, b in enumerate(low, k - dq):
+                f[j] -= c * b
+    del f[dq:]
+    return quot
+
+
 class UniPoly:
     """Dense univariate polynomial over Q.
 
-    Coefficients are little-endian with no trailing zeros stored; the zero
-    polynomial has an empty coefficient tuple.
+    Stored as XPoly is: `nums` holds little-endian integer numerators with
+    no trailing zeros (empty for the zero polynomial) over one positive
+    `den` with gcd(content, den) = 1.  The representation is canonical, so
+    equality and hashing compare (nums, den), and arithmetic, division and
+    expansion run on ints.  `coeffs` is the read-only view as Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # lowest-terms coefficients over the lcm of their denominators have
+        # content coprime to it
+        den = lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and nums[-1] == 0:
+            nums.pop()
+        _set(self, "nums", tuple(nums))
+        _set(self, "den", den)
+
+    @classmethod
+    def _raw(cls, nums: tuple, den: int) -> "UniPoly":
+        """A UniPoly from canonical nums and den (see the class docstring)."""
+        out = _new(cls)
+        _set(out, "nums", nums)
+        _set(out, "den", den)
+        return out
+
+    @classmethod
+    def _make(cls, nums: list, den: int) -> "UniPoly":
+        """A UniPoly from a list of int numerators over a positive den: drops
+        trailing zeros (in place) and divides out gcd(content, den)."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if den != 1:
+            g = gcd(den, *nums)
+            if g != 1:
+                return cls._raw(tuple(c // g for c in nums), den // g)
+        return cls._raw(tuple(nums), den)
 
     def __setattr__(self, *a):
         raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def x(cls) -> "UniPoly":
-        return cls((0, 1))
+        return cls._raw((0, 1), 1)
 
-    @classmethod
-    def constant(cls, c) -> "UniPoly":
-        return cls((c,))
+    @property
+    def coeffs(self) -> tuple:
+        """Read-only view: the coefficients as Fractions, little-endian."""
+        return tuple(Fraction(c, self.den) for c in self.nums)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     @property
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def coeff(self, j: int) -> Fraction:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
+        if 0 <= j < len(self.nums):
+            return Fraction(self.nums[j], self.den)
         return Fraction(0)
 
     def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self.den == other.den \
+            and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other):
         other = self._coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(tuple(self.coeff(j) + other.coeff(j) for j in range(n)))
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        a = [c * sa for c in self.nums]
+        b = [c * sb for c in other.nums]
+        if len(a) < len(b):
+            a, b = b, a
+        for j, c in enumerate(b):
+            a[j] += c
+        return UniPoly._make(a, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly._raw(tuple(-c for c in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -221,23 +291,21 @@ class UniPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return UniPoly(tuple(c * other for c in self.coeffs))
+            n = other.numerator
+            return UniPoly._make([c * n for c in self.nums], self.den * other.denominator)
         other = self._coerce(other)
-        if self.is_zero or other.is_zero:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly._make(_iconv(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
         scalar = _as_fraction(scalar)
-        return UniPoly(tuple(c / scalar for c in self.coeffs))
+        if scalar == 0:
+            raise ZeroDivisionError("UniPoly division by zero")
+        u, w = scalar.numerator, scalar.denominator
+        if u < 0:
+            u, w = -u, -w
+        return UniPoly._make([c * w for c in self.nums], self.den * u)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -250,28 +318,29 @@ class UniPoly:
             n >>= 1
             if n:
                 base = base * base
-        return UniPoly((1,)) if out is None else out
+        return UniPoly._raw((1,), 1) if out is None else out
 
     def __divmod__(self, other):
-        """Exact division with remainder; divisor must be nonzero."""
+        """Exact division with remainder; divisor must be nonzero.
+
+        Fraction-free pseudo-division: with L the divisor's leading
+        numerator and e = deg self - deg other + 1, L^e * self.nums =
+        q * other.nums + r over the integers, and each quotient digit
+        divides exactly by L.  A monic integral divisor has L = 1, which is
+        plain synthetic division."""
         other = self._coerce(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = other.degree
-        lc = other.coeffs[-1]
-        if len(rem) - 1 < dq:
-            return UniPoly(), self
-        quot = [Fraction(0)] * (len(rem) - dq)
-        for k in range(len(rem) - 1, dq - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            q = c / lc
-            quot[k - dq] = q
-            for j, b in enumerate(other.coeffs):
-                rem[k - dq + j] -= q * b
-        return UniPoly(quot), UniPoly(rem)
+        e = self.degree - other.degree + 1
+        if e < 1:
+            return UniPoly._raw((), 1), self
+        s = other.nums[-1] ** e
+        rem = [c * s for c in self.nums] if s != 1 else list(self.nums)
+        quot = _idivmod(rem, other.nums)
+        w = self.den * s
+        if w < 0:
+            w, quot, rem = -w, [-c for c in quot], [-c for c in rem]
+        return UniPoly._make([c * other.den for c in quot], w), UniPoly._make(rem, w)
 
     def __mod__(self, other):
         return divmod(self, other)[1]
@@ -281,16 +350,19 @@ class UniPoly:
 
     def __call__(self, v):
         """Evaluate at an exact rational (or integer) point."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
+        a, b = v.numerator, v.denominator
+        acc, bn = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * a + c * bn
+            bn *= b
+        return Fraction(acc * b, self.den * bn)
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(j * c for j, c in enumerate(self.coeffs) if j >= 1))
+        return UniPoly._make([j * c for j, c in enumerate(self.nums)][1:], self.den)
 
     def denominator_lcm(self) -> int:
-        return lcm(*(c.denominator for c in self.coeffs))
+        # gcd(content, den) = 1 makes den the lcm of the reduced denominators
+        return self.den
 
     @staticmethod
     def _coerce(other) -> "UniPoly":
@@ -317,23 +389,30 @@ class UniPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def qexpand(f: UniPoly, q: UniPoly):
+def qexpand(f: UniPoly, q: UniPoly, scale=1):
     """The q-expansion of f: the unique (f_0, ..., f_n) with f = sum f_j q^j
     and deg f_j < deg q.  Requires q monic of degree >= 1.
+
+    With `scale` a, digit j is multiplied by a^j: for q = a * qt that is
+    the qt-expansion.  For an integral q the whole expansion is one pass
+    of synthetic divisions on the numerators of f, which share its den.
     """
     if q.degree < 1 or not q.is_monic:
         raise MalformedDivisor(f"expansion divisor must be monic nonconstant, got {q!r}")
-    return _qexpand_any(f, q)
-
-
-def _qexpand_any(f: UniPoly, q: UniPoly):
-    # same expansion, any invertible leading coefficient
-    if q.degree < 1:
-        raise MalformedDivisor("divisor must be nonconstant")
     out = []
-    while not f.is_zero:
-        f, r = divmod(f, q)
-        out.append(r)
+    if not q.is_integral:
+        while not f.is_zero:
+            f, r = divmod(f, q)
+            out.append(r * scale ** len(out))
+        return tuple(out)
+    sn, sd = scale.numerator, scale.denominator
+    nums, den = list(f.nums), f.den
+    pn, pd = 1, 1
+    while nums:
+        quot = _idivmod(nums, q.nums)
+        out.append(UniPoly._make([c * pn for c in nums] if pn != 1 else nums, den * pd))
+        nums = quot
+        pn, pd = pn * sn, pd * sd
     return tuple(out)
 
 
@@ -369,12 +448,10 @@ def resultant(f: UniPoly, g: UniPoly) -> Fraction:
         raise UndefinedResultant("resultant of the zero polynomial")
     n, m = f.degree, g.degree
     if n == 0:
-        return f.coeffs[0] ** m
+        return f.coeff(0) ** m
     if m == 0:
-        return g.coeffs[0] ** n
-    df, dg = f.denominator_lcm(), g.denominator_lcm()
-    fi = [int(c * df) for c in f.coeffs]
-    gi = [int(c * dg) for c in g.coeffs]
+        return g.coeff(0) ** n
+    fi, gi = f.nums, g.nums
     size = n + m
     rows = []
     for i in range(m):
@@ -388,7 +465,7 @@ def resultant(f: UniPoly, g: UniPoly) -> Fraction:
             row[i + j] = c
         rows.append(row)
     det = _bareiss_det(rows)
-    return Fraction(det, df ** m * dg ** n)
+    return Fraction(det, f.den ** m * g.den ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +589,12 @@ def _monic_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """The monic gcd over Q, by Euclid's algorithm."""
     while not g.is_zero:
         f, g = g, f % g
-    return f / f.coeffs[-1]
+    return f / f.coeff(f.degree)
 
 
 def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
                cache: dict):
-    dh = h.denominator_lcm()
-    hh = h * dh
+    hh = UniPoly._raw(h.nums, 1)
     # certification bound: v(H(eta)) <= v_p(Res(g, H)) since the other
     # conjugates contribute nonnegative valuation
     bound = pval(ctx, resultant(g, hh))
@@ -544,7 +620,7 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
         cache["hensel_root"] = root
         val = pval(ctx, hh(root.value))
         if val is not INF and val < n - margin:
-            return val - pval(ctx, Fraction(dh))
+            return val - _intval(ctx.p, h.den)
         if n > cap:
             if common is not None and is_finite(_nu_hensel(ctx, g, seed, g // common, cache)):
                 return INF

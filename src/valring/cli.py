@@ -22,13 +22,17 @@ from .keychain import (KeyChain, build_chain, segment, validate,
                        validation_passed)
 from .presentrel import ideal_generators, redundancy_cofactor
 from .rewrite import (building, is_neat, reduction, total_reduction,
-                      total_s_building)
+                      total_s_building, vdeg)
 from .verify import check_relations, completeness_probe, membership
 from .xpoly import XPoly
 
 COMMANDS = ("chain", "present", "eval", "expand", "build", "reduce", "member", "check")
 
 CONFIG_FIELDS = {"p", "g", "branch", "depth", "mode", "payload", "seed"}
+
+# bounds the work of build, reduce and member: the largest degree in x of a
+# payload xpoly's image under X_i -> Qt_i, its virtual degree
+MAX_IMAGE_DEGREE = 256
 
 
 # -- scalar and polynomial text formats --------------------------------------
@@ -239,7 +243,7 @@ def run(command: str, config: JobConfig, trace: bool = False) -> dict:
             "index_tuple": list(exp.index_tuple),
         }
     if command in ("build", "reduce"):
-        F = parse_xpoly(_payload_field(config, "xpoly"))
+        F = _payload_xpoly(config, chain)
         steps = [] if trace else None
         if "pair" in config.payload:
             pair = config.payload["pair"]
@@ -263,7 +267,7 @@ def run(command: str, config: JobConfig, trace: bool = False) -> dict:
                              "cofactor": fmt_xpoly(st.cofactor)} for st in steps]
         return doc
     if command == "member":
-        F = parse_xpoly(_payload_field(config, "xpoly"))
+        F = _payload_xpoly(config, chain)
         cert = membership(chain, F)
         return {
             "anchor": cert.anchor,
@@ -284,6 +288,15 @@ def _payload_field(config: JobConfig, name: str):
     if name not in config.payload:
         raise MalformedInput(f"payload field {name!r} missing")
     return config.payload[name]
+
+
+def _payload_xpoly(config: JobConfig, chain: KeyChain) -> XPoly:
+    """The payload's xpoly, whose image degree (the largest sum of e_k *
+    deg Qt_k over its monomials) must not exceed MAX_IMAGE_DEGREE."""
+    F = parse_xpoly(_payload_field(config, "xpoly"))
+    if not F.is_zero and (d := vdeg(chain, F)) > MAX_IMAGE_DEGREE:
+        raise MalformedInput(f"xpoly image degree {d} exceeds the bound {MAX_IMAGE_DEGREE}")
+    return F
 
 
 def check_doc(chain: KeyChain, config: JobConfig) -> dict:

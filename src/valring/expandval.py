@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INF, UniPoly, _qexpand_any, is_finite, pval, qexpand
+from .algebra import INF, UniPoly, is_finite, pval, qexpand
 from .errors import InsufficientDepth, MalformedInput
 from .keychain import KeyChain, segment
 from .xpoly import XPoly, monom
@@ -101,7 +101,7 @@ def _cascade(chain: KeyChain, pending, k: int):
         if c.degree == 0:
             nxt.append((c, mono))
             continue
-        for j, d in enumerate(_qexpand_any(c, chain.entries[k].Qt)):
+        for j, d in enumerate(chain.qt_expansion(k, c)):
             if not d.is_zero:
                 nxt.append((d, {**mono, k: j} if j else mono))
     return nxt
@@ -112,7 +112,7 @@ def _assemble(chain: KeyChain, anchor: int, pending) -> FullExpansion:
     terms = {}
     for c, mono in pending:
         m = monom(mono)
-        terms[m] = terms.get(m, Fraction(0)) + c.coeffs[0]
+        terms[m] = terms.get(m, Fraction(0)) + c.coeff(0)
     items = tuple(sorted(((c, m) for m, c in terms.items() if c != 0),
                          key=lambda cm: cm[1]))
     nu_val = min(pval(chain.ctx, c) for c, _ in items)

@@ -29,7 +29,7 @@ from .algebra import (
     ValuedFieldCtx,
     _embed_generator,
     _embedded,
-    _qexpand_any,
+    _intval,
     hensel_root,
     is_finite,
     nu_oracle,
@@ -109,7 +109,7 @@ class KeyChain:
         if k < 0 or f.degree == 0:
             if f.degree > 0:
                 raise AssertionError("nonconstant reached the base of the evaluator")
-            return pval(self.ctx, f.coeffs[0])
+            return _intval(self.ctx.p, f.nums[0]) - _intval(self.ctx.p, f.den)
         ent = self.entries[k]
         if not is_finite(ent.gamma):
             return self.value_below(k - 1, f)
@@ -132,18 +132,18 @@ class KeyChain:
         if f.is_zero:
             raise ValueError("resval of zero")
         if k < 0 or f.degree == 0:
-            c = f.coeffs[0]
-            v = pval(self.ctx, c)
-            u = c / Fraction(self.ctx.p) ** v
-            fp = ResidueField.prime(self.ctx.p)
-            return v, fp.from_int(u.numerator * pow(u.denominator, -1, self.ctx.p)), fp
+            p = self.ctx.p
+            n, d = f.nums[0], f.den
+            vn, vd = _intval(p, n), _intval(p, d)
+            fp = ResidueField.prime(p)
+            return vn - vd, fp.from_int(n // p ** vn * pow(d // p ** vd, -1, p)), fp
         ent = self.entries[k]
         if ent.z is None or ent.res_field is None:
             raise AssertionError(f"residue data missing at position {k}")
         fld = ent.res_field
         pairs = []
         best = INF
-        for j, fj in enumerate(_qexpand_any(f, ent.Qt)):
+        for j, fj in enumerate(self.qt_expansion(k, f)):
             if fj.is_zero:
                 continue
             v, r, sub = self.resval(k - 1, fj)
@@ -160,6 +160,12 @@ class KeyChain:
             raise AssertionError("vanishing residue: evaluator used outside its domain")
         return best, res, fld
 
+    def qt_expansion(self, k: int, f: UniPoly):
+        """The Qt_k-expansion of f: digit j of the Q_k-expansion times
+        a_k^j, since Qt_k = Q_k / a_k."""
+        ent = self.entries[k]
+        return qexpand(f, ent.Q, 1 if ent.a is None else ent.a)
+
     # -- oracle plumbing ------------------------------------------------------
 
     def branch_descriptor(self) -> BranchDescriptor:
@@ -172,10 +178,10 @@ class KeyChain:
         if last.Q.degree != 1:
             raise OracleUnavailable(
                 "truncated plateau of degree > 1: branch root not in the completion")
-        c = -last.Q.coeffs[0]
-        if c.denominator != 1:
+        if not last.Q.is_integral:
             raise OracleUnavailable("non-integral approximation")
-        seed = ResidueClass(int(c) % self.ctx.p ** int(last.gamma), int(last.gamma))
+        c = -last.Q.nums[0]
+        seed = ResidueClass(c % self.ctx.p ** int(last.gamma), int(last.gamma))
         return BranchDescriptor("hensel", seed)
 
     def evaluate(self, F) -> UniPoly:
@@ -365,7 +371,7 @@ def _refine_key(chain: KeyChain, root, fld: ResidueField) -> UniPoly:
     if fld.k != 1:
         raise AssertionError("degree-1 plateau with extended residue field")
     zhat = root[0] % p
-    c_prev = -top.Q.coeffs[0]
+    c_prev = -top.Q.nums[0]
     gamma = int(top.gamma)
     if gamma == 0:
         # first refinement of the Gauss key: coefficientwise lift of the

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import UniPoly, _qexpand_any
+from .algebra import UniPoly
 from .errors import MalformedInput, StepCapExceeded
 from .keychain import KeyChain, segment
 from .presentrel import ideal_generators, relation
@@ -255,7 +255,7 @@ def in_x0(chain: KeyChain, f: UniPoly) -> UniPoly:
     """f in the coordinate X_0 = Qt_0: the constant coefficients of its
     Qt_0-expansion (Qt_0 has degree 1; in full mode Qt_0 = x and f is
     unchanged)."""
-    return UniPoly(tuple(c.coeff(0) for c in _qexpand_any(f, chain.entries[0].Qt)))
+    return UniPoly(tuple(c.coeff(0) for c in chain.qt_expansion(0, f)))
 
 
 def total_reduction(chain: KeyChain, F: XPoly, trace=None) -> UniPoly:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .algebra import UniPoly, _as_fraction, _intval
+from .algebra import UniPoly, _as_fraction, _intval, _new, _set
 
 Monom = tuple
 
@@ -150,7 +150,7 @@ class XPoly:
 
     @classmethod
     def from_unipoly(cls, u: UniPoly, pos: int) -> "XPoly":
-        return cls({((pos, j),) if j else (): c for j, c in enumerate(u.coeffs)})
+        return cls._raw({((pos, j),) if j else (): c for j, c in enumerate(u.nums) if c}, u.den)
 
     # -- basic queries -------------------------------------------------------
 
@@ -268,53 +268,35 @@ class XPoly:
     def eval_unipoly(self, images: dict, powers=None) -> UniPoly:
         """Substitute UniPoly images for every variable; exact result in Q[x].
 
-        `powers`, when given, is a dict pos -> [(numerators, den) of
-        images[pos]^v for v = 0, 1, ...] that is read and extended in place,
-        so callers evaluating against the same images share one table."""
+        `powers`, when given, is a dict pos -> [images[pos]^v for v = 0, 1,
+        ...] that is read and extended in place (see `extend_powers`), so
+        callers evaluating against the same images share one table."""
         if powers is None:
             powers = {}
-        acc = {}  # image denominator -> integer coefficient list
+        total = UniPoly()
         for m, c in self.nums.items():
-            num, d = None, 1
+            term = UniPoly._raw((c,), 1)
             for k, v in m:
                 pk = powers.get(k)
                 if pk is None:
-                    pk = powers[k] = [([1], 1), _int_coeffs(images[k])]
-                while len(pk) <= v:
-                    (n1, d1), (nv, dv) = pk[1], pk[-1]
-                    pk.append((_iconv(nv, n1), dv * d1))
-                pn, pd = pk[v]
-                num = [c * a for a in pn] if num is None else _iconv(num, pn)
-                d *= pd
-            if num is None:
-                num = [c]
-            row = acc.setdefault(d, [])
-            row.extend([0] * (len(num) - len(row)))
-            for j, a in enumerate(num):
-                row[j] += a
-        den = lcm(*acc)
-        total = [0] * max(map(len, acc.values()), default=0)
-        for d, row in acc.items():
-            s = den // d
-            for j, a in enumerate(row):
-                total[j] += a * s
-        den *= self.den
-        return UniPoly(tuple(Fraction(a, den) for a in total))
+                    pk = powers[k] = [UniPoly._raw((1,), 1), images[k]]
+                term = term * extend_powers(pk, v)[v]
+            total = total + term
+        return total / self.den
 
     def to_unipoly(self, pos: int) -> UniPoly:
         """View a polynomial supported on the single variable X_pos as a
         UniPoly in that variable."""
-        coeffs = {}
-        for m, c in self.terms.items():
+        nums = {}
+        for m, c in self.nums.items():
             if m == ():
-                coeffs[0] = c
+                nums[0] = c
             elif len(m) == 1 and m[0][0] == pos:
-                coeffs[m[0][1]] = c
+                nums[m[0][1]] = c
             else:
                 raise ValueError(f"not supported on X_{pos}: {self!r}")
-        if not coeffs:
-            return UniPoly()
-        return UniPoly(tuple(coeffs.get(j, Fraction(0)) for j in range(max(coeffs) + 1)))
+        return UniPoly._raw(tuple(nums.get(j, 0) for j in range(max(nums, default=-1) + 1)),
+                            self.den)
 
     # -- canonical ordering ------------------------------------------------------
 
@@ -345,26 +327,6 @@ def extend_powers(powers: list, n: int) -> list:
     while len(powers) <= n:
         powers.append(powers[-1] * powers[1])
     return powers
-
-
-_new = object.__new__
-_set = object.__setattr__
-
-
-def _int_coeffs(u: UniPoly):
-    """(integer numerators, den) with u = numerators / den."""
-    den = lcm(*(c.denominator for c in u.coeffs))
-    return [c.numerator * (den // c.denominator) for c in u.coeffs], den
-
-
-def _iconv(a: list, b: list) -> list:
-    """Product of two integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
 
 
 def _monom_key(m: Monom):

@@ -238,6 +238,25 @@ class TestMainExitCodes:
         assert time.perf_counter() - start < 2
         assert "error" not in json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("command", ["member", "reduce", "build"])
+    def test_huge_exponent_exit1_at_once(self, tmp_path, capsys, command):
+        doc = {**EXA, "payload": {"xpoly": [{"c": 1, "e": {"0": 100000000}}], "s": 0}}
+        path = self.write(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["--config", path, "--command", command]) == 1
+        assert time.perf_counter() - start < 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed-input" and "bound 256" in out["message"]
+
+    def test_image_degree_bound_is_inclusive(self, tmp_path, capsys):
+        # deg Qt_1 = 1 on x^2 + 3: X_1^256 has image degree 256, X_1^257 257
+        doc = {**EXA, "payload": {"xpoly": [{"c": 1, "e": {"1": 256}}]}}
+        assert main(["--config", self.write(tmp_path, doc), "--command", "reduce"]) == 0
+        assert "result" in json.loads(capsys.readouterr().out)
+        doc = {**EXA, "payload": {"xpoly": [{"c": 1, "e": {"1": 257}}]}}
+        assert main(["--config", self.write(tmp_path, doc), "--command", "reduce"]) == 1
+        assert "image degree 257" in json.loads(capsys.readouterr().out)["message"]
+
     def test_prime_above_primality_bound_exit1(self, tmp_path, capsys):
         path = self.write(tmp_path, {"p": 3317044064679887385961981 + 2, "g": [3, 0, 1]})
         assert main(["--config", path, "--command", "chain"]) == 1

@@ -73,14 +73,16 @@ class TestSSet:
         assert s_set(chain_a, 1, chain_a.entries[1].Q).indices == (1,)
 
     def test_same_from_normalized_expansion(self, chain_c):
-        # recompute from the Qt-expansion directly: indices must agree
-        from valring.algebra import _qexpand_any
+        # recompute from the Qt-expansion, by repeated division by the
+        # non-monic Qt: indices must agree
         ent = chain_c.entries[1]
         vals = {}
-        for j, fj in enumerate(_qexpand_any(GC, ent.Qt)):
-            if fj.is_zero:
-                continue
-            vals[j] = chain_c.nu(fj).value
+        f, j = GC, 0
+        while not f.is_zero:
+            f, fj = divmod(f, ent.Qt)
+            if not fj.is_zero:
+                vals[j] = chain_c.nu(fj).value
+            j += 1
         m = min(vals.values())
         assert tuple(sorted(j for j, v in vals.items() if v == m)) == \
             s_set(chain_c, 1, GC).indices
