@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import (
     MalformedDivisor,
@@ -128,12 +128,25 @@ class ValuedFieldCtx:
 
 
 def _intval(p: int, n: int):
+    """v_p(n) for an int n, INF for 0.  Divides out p^(2^j) for growing j,
+    then for shrinking j, so a value v costs O(log v) divisions."""
     if n == 0:
         return INF
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0
+    v, q, e = 0, p, 1
+    while n % q == 0:
+        n //= q
+        v += e
+        if n % p:
+            return v
+        q, e = q * q, 2 * e
+    # p still divides n, to a power below e: take its binary digits
+    while e > 1:
+        q, e = isqrt(q), e // 2
+        if n % q == 0:
+            n //= q
+            v += e
     return v
 
 
@@ -146,7 +159,7 @@ def pval(ctx: ValuedFieldCtx, a):
 
 
 # ---------------------------------------------------------------------------
-# Univariate polynomials over Q, little-endian coefficients
+# Polynomials over Q: integer numerators over one denominator
 # ---------------------------------------------------------------------------
 
 _new = object.__new__
@@ -182,17 +195,80 @@ def _idivmod(f: list, dn) -> list:
     return quot
 
 
-class UniPoly:
-    """Dense univariate polynomial over Q.
+class _QPoly:
+    """An exact polynomial over Q as integer numerators over one common
+    denominator, as FLINT's fmpq_poly stores it.
 
-    Stored as XPoly is: `nums` holds little-endian integer numerators with
-    no trailing zeros (empty for the zero polynomial) over one positive
-    `den` with gcd(content, den) = 1.  The representation is canonical, so
-    equality and hashing compare (nums, den), and arithmetic, division and
-    expansion run on ints.  `coeffs` is the read-only view as Fractions.
+    `nums` holds the integer numerators in the subclass's container (a
+    little-endian tuple without trailing zeros for UniPoly, a dict
+    monomial -> nonzero int for XPoly) and `den` is a positive int with
+    gcd(content, den) = 1.  The representation is canonical, so equality
+    and hashing compare (nums, den), den is the lcm of the reduced
+    coefficient denominators, and arithmetic runs on ints.  Instances are
+    immutable; `_raw` builds one from canonical data and each subclass's
+    `_make` normalizes int numerators over a positive den.
     """
 
     __slots__ = ("nums", "den")
+
+    @classmethod
+    def _raw(cls, nums, den: int):
+        out = _new(cls)
+        _set(out, "nums", nums)
+        _set(out, "den", den)
+        return out
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    @property
+    def is_integral(self) -> bool:
+        return self.den == 1
+
+    def denominator_lcm(self) -> int:
+        return self.den
+
+    def __radd__(self, other):
+        return self + other
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return self._coerce(other) - self
+
+    def __rmul__(self, other):
+        return self * other
+
+    def __truediv__(self, scalar):
+        scalar = _as_fraction(scalar)
+        if not scalar:
+            raise ZeroDivisionError(f"{type(self).__name__} division by zero")
+        return self * Fraction(scalar.denominator, scalar.numerator)
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power")
+        out = None
+        base = self
+        while n:
+            if n & 1:
+                out = base if out is None else out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return self._coerce(1) if out is None else out
+
+
+class UniPoly(_QPoly):
+    """Dense univariate polynomial over Q, in the _QPoly layout with `nums`
+    a little-endian tuple.  `coeffs` is the read-only view as Fractions."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
         cs = [_as_fraction(c) for c in coeffs]
@@ -206,14 +282,6 @@ class UniPoly:
         _set(self, "den", den)
 
     @classmethod
-    def _raw(cls, nums: tuple, den: int) -> "UniPoly":
-        """A UniPoly from canonical nums and den (see the class docstring)."""
-        out = _new(cls)
-        _set(out, "nums", nums)
-        _set(out, "den", den)
-        return out
-
-    @classmethod
     def _make(cls, nums: list, den: int) -> "UniPoly":
         """A UniPoly from a list of int numerators over a positive den: drops
         trailing zeros (in place) and divides out gcd(content, den)."""
@@ -224,9 +292,6 @@ class UniPoly:
             if g != 1:
                 return cls._raw(tuple(c // g for c in nums), den // g)
         return cls._raw(tuple(nums), den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("UniPoly is immutable")
 
     @classmethod
     def x(cls) -> "UniPoly":
@@ -243,16 +308,8 @@ class UniPoly:
         return len(self.nums) - 1
 
     @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    @property
     def is_monic(self) -> bool:
         return bool(self.nums) and self.nums[-1] == self.den
-
-    @property
-    def is_integral(self) -> bool:
-        return self.den == 1
 
     def coeff(self, j: int) -> Fraction:
         if 0 <= j < len(self.nums):
@@ -278,16 +335,8 @@ class UniPoly:
             a[j] += c
         return UniPoly._make(a, den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return UniPoly._raw(tuple(-c for c in self.nums), self.den)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -295,30 +344,6 @@ class UniPoly:
             return UniPoly._make([c * n for c in self.nums], self.den * other.denominator)
         other = self._coerce(other)
         return UniPoly._make(_iconv(self.nums, other.nums), self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        scalar = _as_fraction(scalar)
-        if scalar == 0:
-            raise ZeroDivisionError("UniPoly division by zero")
-        u, w = scalar.numerator, scalar.denominator
-        if u < 0:
-            u, w = -u, -w
-        return UniPoly._make([c * w for c in self.nums], self.den * u)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return UniPoly._raw((1,), 1) if out is None else out
 
     def __divmod__(self, other):
         """Exact division with remainder; divisor must be nonzero.
@@ -359,10 +384,6 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         return UniPoly._make([j * c for j, c in enumerate(self.nums)][1:], self.den)
-
-    def denominator_lcm(self) -> int:
-        # gcd(content, den) = 1 makes den the lcm of the reduced denominators
-        return self.den
 
     @staticmethod
     def _coerce(other) -> "UniPoly":
@@ -759,8 +780,7 @@ class ResidueField:
 
     def elements(self):
         """All elements in canonical (lexicographic tuple) order."""
-        for t in _lex_tuples(self.p, self.k):
-            yield t
+        return _lex_tuples(self.p, self.k)
 
     def __eq__(self, other):
         return (isinstance(other, ResidueField) and other.p == self.p
@@ -848,9 +868,11 @@ class ResidueField:
         return tuple(self.mul(c, lcinv) for c in f)
 
     def monic_polys(self, degree: int):
-        """Monic polynomials of the given degree in canonical order."""
-        for lower in _lex_tuples_elems(self, degree):
-            yield lower + (self.one,)
+        """Monic polynomials of the given degree in canonical order: c_0
+        slowest, each coefficient counted as in elements()."""
+        k = self.k
+        for t in _lex_tuples(self.p, k * degree):
+            yield tuple(t[j:j + k] for j in range(k * (degree - 1), -1, -k)) + (self.one,)
 
     def _poly_irreducible(self, cs) -> bool:
         f = self.poly_norm([self.from_int(c) if isinstance(c, int) else c for c in cs])
@@ -963,7 +985,7 @@ class ResidueField:
         d = len(phi) - 1
         big = ResidueField.of_degree(self.p, self.k * d)
         gen_image = _embed_generator(self, big)
-        lifted = tuple(_embedded(self, big, gen_image, c) for c in phi)
+        lifted = tuple(_embedded(big, gen_image, c) for c in phi)
         root = _first_root(big, lifted)
         if root is None:
             raise AssertionError("irreducible factor has no root in its splitting degree")
@@ -972,23 +994,14 @@ class ResidueField:
 
 def _lex_tuples(p: int, k: int):
     """Int tuples of length k over range(p), counting with the first entry
-    as the fastest digit."""
+    as the fastest digit.  Lazy in p: itertools.product would hold
+    range(p) in memory, gigabytes for p near 10^9."""
     for n in range(p ** k):
         digits = []
-        m = n
         for _ in range(k):
-            digits.append(m % p)
-            m //= p
+            digits.append(n % p)
+            n //= p
         yield tuple(digits)
-
-
-def _lex_tuples_elems(field: ResidueField, length: int):
-    if length == 0:
-        yield ()
-        return
-    for rest in _lex_tuples_elems(field, length - 1):
-        for e in field.elements():
-            yield rest + (e,)
 
 
 def _embed_generator(small: ResidueField, big: ResidueField):
@@ -1010,9 +1023,6 @@ def _first_root(field: ResidueField, poly):
     return None
 
 
-def _embedded(small: ResidueField, big: ResidueField, gen_image, elt):
-    """Map an element of small into big via the generator image."""
-    acc = big.zero
-    for c in reversed(elt):
-        acc = big.add(big.mul(acc, gen_image), big.from_int(c))
-    return acc
+def _embedded(big: ResidueField, gen_image, elt):
+    """Map an element of a subfield into big, its generator to gen_image."""
+    return big.poly_eval([big.from_int(c) for c in elt], gen_image)

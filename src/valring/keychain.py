@@ -154,7 +154,7 @@ class KeyChain:
         for j, v, r, sub in pairs:
             if v != best:
                 continue
-            rbig = _embedded(sub, fld, ent.emb_prev, r) if sub != fld else r
+            rbig = _embedded(fld, ent.emb_prev, r) if sub != fld else r
             res = fld.add(res, fld.mul(rbig, fld.pow(ent.z, j)))
         if fld.is_zero(res):
             raise AssertionError("vanishing residue: evaluator used outside its domain")
@@ -309,7 +309,7 @@ def _segment_residual(chain: KeyChain, i: int, exp, line: dict, t: int):
         if sub != fld:
             # adjacent-stage embedding: entry i-1 carries the image of its
             # predecessor's generator
-            r = _embedded(sub, fld, chain.entries[i - 1].emb_prev, r)
+            r = _embedded(fld, chain.entries[i - 1].emb_prev, r)
         coeffs.append(r)
     return tuple(coeffs), fld
 

@@ -3,12 +3,8 @@
 A monomial is a tuple of (position, exponent) pairs sorted by position with
 all exponents positive; the empty tuple is 1.
 
-An XPoly stores integer numerators over one positive common denominator, as
-FLINT's fmpq_poly does: `nums` maps each monomial to a nonzero int, `den` is
-a positive int, and gcd(content, den) = 1.  The representation is therefore
-canonical, so equality and hashing are syntactic, and the inner loops of
-arithmetic, division and evaluation run on ints.  `terms` is the read-only
-view monomial -> Fraction.
+An XPoly has the `algebra._QPoly` layout with `nums` a dict monomial ->
+nonzero int; `terms` is the read-only view monomial -> Fraction.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .algebra import UniPoly, _as_fraction, _intval, _new, _set
+from .algebra import UniPoly, _QPoly, _as_fraction, _intval, _set
 
 Monom = tuple
 
@@ -85,8 +81,8 @@ def _mul_into(acc: dict, a: dict, b: dict, scale: int = 1) -> None:
             acc[m] = acc.get(m, 0) + c1 * c2
 
 
-class XPoly:
-    __slots__ = ("nums", "den")
+class XPoly(_QPoly):
+    __slots__ = ()
 
     def __init__(self, terms=None):
         t = {}
@@ -104,15 +100,6 @@ class XPoly:
         _set(self, "den", den)
 
     @classmethod
-    def _raw(cls, nums: dict, den: int) -> "XPoly":
-        """An XPoly from canonical data: canonical monomials, nonzero
-        numerators, den > 0 and gcd(content, den) = 1."""
-        out = _new(cls)
-        _set(out, "nums", nums)
-        _set(out, "den", den)
-        return out
-
-    @classmethod
     def _make(cls, nums: dict, den: int) -> "XPoly":
         """An XPoly from canonical monomials with int numerators over a
         positive den: drops zeros and divides out gcd(content, den)."""
@@ -125,9 +112,6 @@ class XPoly:
                 den //= g
                 nums = {m: c // g for m, c in nums.items()}
         return cls._raw(nums, den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("XPoly is immutable")
 
     @property
     def terms(self):
@@ -154,10 +138,6 @@ class XPoly:
 
     # -- basic queries -------------------------------------------------------
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
     def variables(self):
         return sorted({k for m in self.nums for k, _ in m})
 
@@ -168,14 +148,6 @@ class XPoly:
         """Decompose as a polynomial in X_pos: dict exponent -> XPoly free
         of X_pos."""
         return {e: XPoly._make(t, self.den) for e, t in _split(self.nums, pos).items()}
-
-    @property
-    def is_integral(self) -> bool:
-        return self.den == 1
-
-    def denominator_lcm(self) -> int:
-        # gcd(content, den) = 1 makes den the lcm of the reduced denominators
-        return self.den
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -197,50 +169,18 @@ class XPoly:
             t[m] = t.get(m, 0) + c * sb
         return XPoly._make(t, den)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return XPoly._raw({m: -c for m, c in self.nums.items()}, self.den)
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = _as_fraction(other)
-            return XPoly._make({m: c * other.numerator for m, c in self.nums.items()},
+            n = other.numerator
+            return XPoly._make({m: c * n for m, c in self.nums.items()},
                                self.den * other.denominator)
         other = self._coerce(other)
         t = {}
         _mul_into(t, self.nums, other.nums)
         return XPoly._make(t, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar):
-        scalar = _as_fraction(scalar)
-        if scalar == 0:
-            raise ZeroDivisionError("XPoly division by zero")
-        u, w = scalar.numerator, scalar.denominator
-        if u < 0:
-            u, w = -u, -w
-        return XPoly._make({m: c * w for m, c in self.nums.items()}, self.den * u)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return XPoly.const(1) if out is None else out
 
     @staticmethod
     def _coerce(other) -> "XPoly":
@@ -340,7 +280,7 @@ def mu0(ctx, F: XPoly):
     """Minimum of the p-adic values of the coefficients."""
     if F.is_zero:
         raise ValueError("mu0 of the zero polynomial")
-    p = getattr(ctx, "ctx", ctx).p
+    p = ctx.p
     return min(_intval(p, c) for c in F.nums.values()) - _intval(p, F.den)
 
 

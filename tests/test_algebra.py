@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import random
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from valring.algebra import (
     pval,
     qexpand,
     resultant,
+    _intval,
     _is_prime,
 )
 from valring.errors import (
@@ -85,6 +87,31 @@ class TestPval:
         assert vs >= min(va, vb)
         if va != vb:
             assert vs == min(va, vb)
+
+
+def _intval_one_factor_at_a_time(p, n):
+    """Reference valuation: strip one factor of p per division."""
+    if n == 0:
+        return INF
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+class TestIntval:
+    @pytest.mark.parametrize("p", [2, 3, 1000000007])
+    def test_matches_one_factor_at_a_time(self, p):
+        for v in range(301):
+            for unit in (1, -1, p + 1, 1 - 2 * p, 3 * p ** 5 - 1):
+                n = unit * p ** v
+                assert _intval(p, n) == _intval_one_factor_at_a_time(p, n) == v, (p, v, unit)
+        assert _intval(p, 0) is INF
+
+    @given(st.integers(min_value=-10 ** 40, max_value=10 ** 40), st.sampled_from([2, 3, 5, 7]))
+    def test_random_integers(self, n, p):
+        assert _intval(p, n) == _intval_one_factor_at_a_time(p, n)
 
 
 class TestInfinity:
@@ -272,6 +299,36 @@ class TestResidueField:
     def test_f4_modulus(self):
         f4 = ResidueField.of_degree(2, 2)
         assert f4.modulus == (1, 1, 1)
+
+    def test_canonical_orders(self):
+        # factor order, and so branch numbering, depends on these orders
+        assert [ResidueField.of_degree(p, k).modulus
+                for p, k in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)]] == \
+            [(1, 1, 1), (1, 1, 0, 1), (1, 0, 1), (1, 2, 0, 1), (2, 0, 1), (1, 0, 1)]
+        assert list(ResidueField.of_degree(3, 2).elements())[:5] == \
+            [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+        assert list(ResidueField.prime(3).monic_polys(2))[:5] == [
+            ((0,), (0,), (1,)), ((0,), (1,), (1,)), ((0,), (2,), (1,)),
+            ((1,), (0,), (1,)), ((1,), (1,), (1,))]
+        f4 = ResidueField.of_degree(2, 2)
+        assert list(f4.monic_polys(1)) == [(a, f4.one) for a in f4.elements()]
+        assert list(f4.monic_polys(2))[:5] == [
+            ((0, 0), (0, 0), (1, 0)), ((0, 0), (1, 0), (1, 0)), ((0, 0), (0, 1), (1, 0)),
+            ((0, 0), (1, 1), (1, 0)), ((1, 0), (0, 0), (1, 0))]
+
+    def test_enumerators_are_lazy(self):
+        # enumeration order is canonical but must not hold all p elements
+        # in memory first: for p near 10^9 that is gigabytes
+        p = 100003
+        fp = ResidueField.prime(p)
+        tracemalloc.start()
+        try:
+            assert next(fp.elements()) == (0,)
+            assert next(fp.monic_polys(2)) == ((0,), (0,), (1,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     def test_arithmetic(self):
         f4 = ResidueField.of_degree(2, 2)

@@ -248,6 +248,17 @@ class TestMainExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "malformed-input" and "bound 256" in out["message"]
 
+    def test_member_deep_value_is_fast(self, tmp_path, capsys):
+        # wording not-in-ideal needs nu(e(X_3^256)), whose Hensel root has
+        # hundreds of digits: each digit's valuation must cost O(log v)
+        doc = {"p": 2, "g": [7, 0, 1], "branch": [[0, 0]], "depth": 6,
+               "payload": {"xpoly": [{"c": 1, "e": {"3": 256}}]}}
+        path = self.write(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["--config", path, "--command", "member"]) == 2
+        assert time.perf_counter() - start < 0.4
+        assert json.loads(capsys.readouterr().out)["error"] == "not-in-ideal"
+
     def test_image_degree_bound_is_inclusive(self, tmp_path, capsys):
         # deg Qt_1 = 1 on x^2 + 3: X_1^256 has image degree 256, X_1^257 257
         doc = {**EXA, "payload": {"xpoly": [{"c": 1, "e": {"1": 256}}]}}

@@ -108,6 +108,8 @@ def test_add_sub_mul(f, g):
     assert canonical(U(f) - U(g)) == r_add(f, r_neg(g))
     assert canonical(-U(f)) == r_neg(f)
     assert canonical(U(f) * U(g)) == r_mul(f, g)
+    with pytest.raises(AttributeError):
+        U(f).nums = g
 
 
 @settings(max_examples=40)
@@ -115,6 +117,9 @@ def test_add_sub_mul(f, g):
 def test_scalar_mul_and_div(f, c):
     assert canonical(U(f) * c) == r_mul(f, r_norm((c,)))
     assert canonical(c * U(f)) == r_mul(f, r_norm((c,)))
+    for n in (c, c.numerator):
+        assert canonical(n + U(f)) == r_add(r_norm((n,)), f)
+        assert canonical(n - U(f)) == r_add(r_norm((n,)), r_neg(f))
     if c:
         assert canonical(U(f) / c) == r_mul(f, (1 / c,))
     else:

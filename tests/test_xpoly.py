@@ -5,6 +5,7 @@ hashing."""
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,8 +175,13 @@ def test_ring_operations(f, g, c):
     same(F * c, r_scale(f, c))
     same(c * F, r_scale(f, c))
     same(F + c, r_add(f, r_clean({(): c})))
+    same(c + F, r_add(f, r_clean({(): c})))
+    same(c - F, r_sub(r_clean({(): c}), f))
+    same(F ** 0, {(): Fraction(1)})
     if c != 0:
         same(F / c, r_scale(f, 1 / c))
+    with pytest.raises(AttributeError):
+        F.nums = {}
 
 
 @settings(max_examples=40, deadline=None)
