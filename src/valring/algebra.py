@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import zip_longest
 from math import gcd, isqrt, lcm
 
@@ -126,6 +127,11 @@ class ValuedFieldCtx:
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise MalformedInput(f"p must be prime, got {self.p!r}")
 
+    @cached_property
+    def residue_field(self) -> "ResidueField":
+        """F_p, built once per context."""
+        return ResidueField(self.p)
+
 
 def _intval(p: int, n: int):
     """v_p(n) for an int n, INF for 0.  Divides out p^(2^j) for growing j,
@@ -203,8 +209,9 @@ class _QPoly:
     little-endian tuple without trailing zeros for UniPoly, a dict
     monomial -> nonzero int for XPoly) and `den` is a positive int with
     gcd(content, den) = 1.  The representation is canonical, so equality
-    and hashing compare (nums, den), den is the lcm of the reduced
-    coefficient denominators, and arithmetic runs on ints.  Instances are
+    compares (nums, den), den is the lcm of the reduced coefficient
+    denominators, and arithmetic runs on ints.  A constant polynomial
+    equals its scalar (an int or Fraction) and hashes like it.  Instances are
     immutable; `_raw` builds one from canonical data and each subclass's
     `_make` normalizes int numerators over a positive den.
     """
@@ -231,6 +238,12 @@ class _QPoly:
 
     def denominator_lcm(self) -> int:
         return self.den
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+        return type(other) is type(self) and self.den == other.den \
+            and self.nums == other.nums
 
     def __radd__(self, other):
         return self + other
@@ -316,11 +329,9 @@ class UniPoly(_QPoly):
             return Fraction(self.nums[j], self.den)
         return Fraction(0)
 
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.den == other.den \
-            and self.nums == other.nums
-
     def __hash__(self):
+        if len(self.nums) < 2:
+            return hash(Fraction(self.nums[0] if self.nums else 0, self.den))
         return hash((self.nums, self.den))
 
     def __add__(self, other):
@@ -653,14 +664,29 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
 # Small finite fields F_{p^k}, flat over F_p
 # ---------------------------------------------------------------------------
 
+def _digits(n: int, p: int, k: int) -> tuple:
+    """The k base-p digits of n, least significant first."""
+    out = []
+    for _ in range(k):
+        n, c = divmod(n, p)
+        out.append(c)
+    return tuple(out)
+
+
 class ResidueField:
     """F_{p^k} = F_p[t]/(h) with h the canonical irreducible of degree k.
 
-    Elements are int tuples of length k (coefficients of t-powers, each in
-    range(p)).  Deterministic: defining polynomials are the
+    An element is an int in range(p^k): sum c_i p^i stands for
+    c_0 + c_1 t + ... + c_{k-1} t^(k-1), each c_i in range(p), and `coords`
+    returns (c_0, ..., c_{k-1}).  So F_p is range(p) with arithmetic mod p,
+    F_p sits in every F_{p^k} as range(p), and the canonical element order
+    is int order.  Deterministic: defining polynomials are the
     lexicographically smallest irreducibles, scanning coefficients in
     {0, ..., p-1}.
     """
+
+    zero = 0
+    one = 1
 
     def __init__(self, p: int, modulus=None):
         self._set_modulus(p, modulus)
@@ -677,6 +703,7 @@ class ResidueField:
         self.k = len(self.modulus) - 1
         if self.k < 1:
             raise MalformedInput("modulus must be nonconstant")
+        self.q = p ** self.k
         self._prime = self if self.k == 1 else ResidueField(p)
 
     # -- construction -----------------------------------------------------
@@ -692,8 +719,8 @@ class ResidueField:
         if k == 1:
             return cls(p)
         base = cls(p)
-        for coeffs in _lex_tuples(p, k):
-            cand = coeffs + (1,)
+        for n in range(p ** k):
+            cand = _digits(n, p, k) + (1,)
             if base._poly_irreducible(cand):
                 # the scan has just tested cand: skip the test in __init__
                 out = cls.__new__(cls)
@@ -704,53 +731,79 @@ class ResidueField:
     # -- element arithmetic ------------------------------------------------
 
     @property
-    def zero(self):
-        return (0,) * self.k
-
-    @property
-    def one(self):
-        return (1,) + (0,) * (self.k - 1)
-
-    @property
     def gen(self):
-        if self.k == 1:
-            return self.one
-        return (0, 1) + (0,) * (self.k - 2)
+        return self.p if self.k > 1 else 1
+
+    def coords(self, a) -> tuple:
+        """The k coefficients (c_0, ..., c_{k-1}) of a over F_p."""
+        return _digits(a, self.p, self.k)
+
+    def _from_coords(self, cs) -> int:
+        n = 0
+        for c in reversed(cs):
+            n = n * self.p + c
+        return n
 
     def from_int(self, n: int):
-        return (n % self.p,) + (0,) * (self.k - 1)
+        return n % self.p
 
     def is_zero(self, a) -> bool:
-        return all(c == 0 for c in a)
+        return not a
 
     def add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+        if self.k == 1:
+            return (a + b) % self.p
+        return self._digitwise(a, b, 1)
 
     def neg(self, a):
-        return tuple((-x) % self.p for x in a)
+        if self.k == 1:
+            return -a % self.p
+        return self._digitwise(0, a, -1)
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        if self.k == 1:
+            return (a - b) % self.p
+        return self._digitwise(a, b, -1)
+
+    def _digitwise(self, a, b, s):
+        """The element whose digits are (x + s * y) % p, x and y the digits
+        of a and b: a + s * b, which needs no reduction by the modulus."""
+        if not b:
+            return a
+        p = self.p
+        out, w = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + s * y) % p * w
+            w *= p
+        return out
 
     def mul(self, a, b):
-        p = self.p
-        prod = [0] * (2 * self.k - 1)
-        for i, x in enumerate(a):
-            if x == 0:
-                continue
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        # reduce mod modulus
-        for i in range(len(prod) - 1, self.k - 1, -1):
-            c = prod[i]
-            if c == 0:
-                continue
-            prod[i] = 0
-            for j in range(self.k):
-                prod[i - self.k + j] = (prod[i - self.k + j] - c * self.modulus[j]) % p
-        return tuple(prod[: self.k])
+        p, k = self.p, self.k
+        if k == 1:
+            return a * b % p
+        if a < 2 or b < 2:
+            return a * b  # a factor is 0 or 1
+        # schoolbook product of the digit vectors, reduced by the modulus
+        # from the top; entries are taken mod p only where they are read
+        prod = [0] * (2 * k - 1)
+        ys = self.coords(b)
+        for i, x in enumerate(self.coords(a)):
+            if x:
+                for j, y in enumerate(ys, i):
+                    prod[j] += x * y
+        low = self.modulus[:k]
+        for i in range(2 * k - 2, k - 1, -1):
+            c = prod[i] % p
+            if c:
+                for j, m in enumerate(low, i - k):
+                    prod[j] -= c * m
+        return self._from_coords([c % p for c in prod[:k]])
 
     def pow(self, a, n: int):
+        if self.k == 1:
+            return pow(a, n, self.p)
         out = self.one
         while n:
             if n & 1:
@@ -760,27 +813,27 @@ class ResidueField:
         return out
 
     def inv(self, a):
-        if self.is_zero(a):
+        if not a:
             raise ZeroDivisionError("inverse of zero in residue field")
+        p = self.p
         if self.k == 1:
-            return (pow(a[0], -1, self.p),)
+            return pow(a, -1, p)
         # extended Euclid in F_p[t]: s_i * a == r_i mod the modulus
         fp = self._prime
-        r0, r1 = tuple((c,) for c in self.modulus), fp.poly_norm([(c,) for c in a])
-        s0, s1 = (), (fp.one,)
+        r0, r1 = self.modulus, fp.poly_norm(self.coords(a))
+        s0, s1 = (), (1,)
         while len(r1) > 1:
             q, r = fp.poly_divmod(r0, r1)
             r0, r1, s0, s1 = r1, r, s1, fp.poly_sub(s0, fp.poly_mul(q, s1))
-        c = pow(r1[0][0], -1, self.p)
-        s = [sc * c % self.p for (sc,) in s1]
-        return tuple(s) + (0,) * (self.k - len(s))
+        c = pow(r1[0], -1, p)
+        return self._from_coords([sc * c % p for sc in s1])
 
     def frobenius(self, a):
         return self.pow(a, self.p)
 
     def elements(self):
-        """All elements in canonical (lexicographic tuple) order."""
-        return _lex_tuples(self.p, self.k)
+        """All elements in canonical (int) order."""
+        return iter(range(self.q))
 
     def __eq__(self, other):
         return (isinstance(other, ResidueField) and other.p == self.p
@@ -796,12 +849,12 @@ class ResidueField:
 
     def poly_norm(self, cs):
         cs = list(cs)
-        while cs and self.is_zero(cs[-1]):
+        while cs and not cs[-1]:
             cs.pop()
         return tuple(cs)
 
     def poly_add(self, f, g):
-        return self.poly_norm([self.add(a, b) for a, b in zip_longest(f, g, fillvalue=self.zero)])
+        return self.poly_norm([self.add(a, b) for a, b in zip_longest(f, g, fillvalue=0)])
 
     def poly_sub(self, f, g):
         return self.poly_add(f, [self.neg(c) for c in g])
@@ -809,9 +862,9 @@ class ResidueField:
     def poly_mul(self, f, g):
         if not f or not g:
             return ()
-        out = [self.zero] * (len(f) + len(g) - 1)
+        out = [0] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
-            if self.is_zero(a):
+            if not a:
                 continue
             for j, b in enumerate(g):
                 out[i + j] = self.add(out[i + j], self.mul(a, b))
@@ -821,7 +874,7 @@ class ResidueField:
         return self.poly_divmod(self.poly_mul(f, g), m)[1]
 
     def poly_powmod(self, f, n: int, m):
-        out, f = (self.one,), self.poly_divmod(f, m)[1]
+        out, f = (1,), self.poly_divmod(f, m)[1]
         while n:
             if n & 1:
                 out = self.poly_mulmod(out, f, m)
@@ -843,11 +896,11 @@ class ResidueField:
         dg = len(g) - 1
         if len(f) - 1 < dg:
             return (), self.poly_norm(f)
-        lcinv = None if g[-1] == self.one else self.inv(g[-1])
-        quot = [self.zero] * (len(f) - dg)
+        lcinv = None if g[-1] == 1 else self.inv(g[-1])
+        quot = [0] * (len(f) - dg)
         for k in range(len(f) - 1, dg - 1, -1):
             c = f[k]
-            if self.is_zero(c):
+            if not c:
                 continue
             q = c if lcinv is None else self.mul(c, lcinv)
             quot[k - dg] = q
@@ -856,7 +909,7 @@ class ResidueField:
         return self.poly_norm(quot), self.poly_norm(f)
 
     def poly_eval(self, f, a):
-        acc = self.zero
+        acc = 0
         for c in reversed(f):
             acc = self.add(self.mul(acc, a), c)
         return acc
@@ -870,12 +923,11 @@ class ResidueField:
     def monic_polys(self, degree: int):
         """Monic polynomials of the given degree in canonical order: c_0
         slowest, each coefficient counted as in elements()."""
-        k = self.k
-        for t in _lex_tuples(self.p, k * degree):
-            yield tuple(t[j:j + k] for j in range(k * (degree - 1), -1, -k)) + (self.one,)
+        for n in range(self.q ** degree):
+            yield _digits(n, self.q, degree)[::-1] + (1,)
 
     def _poly_irreducible(self, cs) -> bool:
-        f = self.poly_norm([self.from_int(c) if isinstance(c, int) else c for c in cs])
+        f = self.poly_norm(cs)
         d = len(f) - 1
         if d < 1:
             return False
@@ -889,8 +941,8 @@ class ResidueField:
 
     def factor_monic(self, f):
         """Distinct monic irreducible factors of f with multiplicities, in
-        canonical order: by degree, then c_0, c_1, ... compared in turn, each
-        coefficient ranked by its index in elements().
+        canonical order: by degree, then c_0, c_1, ... compared in turn as
+        ints.
 
         Squarefree decomposition, distinct-degree factorization and
         Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
@@ -906,7 +958,7 @@ class ResidueField:
                for part, mult in self._squarefree(f)
                for d, same in self._distinct_degree(part)
                for fac in self._equal_degree(same, d, rng)]
-        return sorted(out, key=lambda fm: (len(fm[0]), [c[::-1] for c in fm[0]]))
+        return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
 
     def _squarefree(self, f):
         """(part, multiplicity) pairs of the monic f: each part is monic,
@@ -933,17 +985,16 @@ class ResidueField:
         return out
 
     def _poly_derivative(self, f):
-        return self.poly_norm([tuple(j * x % self.p for x in a)
-                               for j, a in enumerate(f) if j])
+        return self.poly_norm([self.mul(j % self.p, a) for j, a in enumerate(f) if j])
 
     def _distinct_degree(self, f):
         """(d, product of the degree-d irreducible factors) of the monic
         squarefree f, from gcd(f, t^(q^d) - t)."""
-        x = (self.zero, self.one)
+        x = (0, 1)
         out, h, d = [], x, 0
         while len(f) - 1 >= 2 * (d + 1):
             d += 1
-            h = self.poly_powmod(h, self.p ** self.k, f)
+            h = self.poly_powmod(h, self.q, f)
             g = self.poly_gcd(f, self.poly_sub(h, x))
             if len(g) > 1:
                 out.append((d, g))
@@ -960,16 +1011,15 @@ class ResidueField:
         if len(f) - 1 == d:
             return [f]
         while True:
-            a = self.poly_norm([tuple(rng.randrange(self.p) for _ in range(self.k))
-                                for _ in range(len(f) - 1)])
+            a = self.poly_norm([rng.randrange(self.q) for _ in range(len(f) - 1)])
             if self.p == 2:
                 b = t = a
                 for _ in range(self.k * d - 1):
                     t = self.poly_mulmod(t, t, f)
                     b = self.poly_add(b, t)
             else:
-                e = (self.p ** (self.k * d) - 1) // 2
-                b = self.poly_sub(self.poly_powmod(a, e, f), (self.one,))
+                e = (self.q ** d - 1) // 2
+                b = self.poly_sub(self.poly_powmod(a, e, f), (1,))
             g = self.poly_gcd(f, b)
             if 1 < len(g) < len(f):
                 return (self._equal_degree(g, d, rng)
@@ -980,37 +1030,24 @@ class ResidueField:
 
         Returns (big, gen_image, root): the canonical flat field of degree
         k*deg(phi), the image of this field's generator inside it, and the
-        canonical (lexicographically first) root of phi there.
+        canonical (first in element order) root of phi there.
         """
         d = len(phi) - 1
         big = ResidueField.of_degree(self.p, self.k * d)
         gen_image = _embed_generator(self, big)
-        lifted = tuple(_embedded(big, gen_image, c) for c in phi)
+        lifted = tuple(_embedded(self, big, gen_image, c) for c in phi)
         root = _first_root(big, lifted)
         if root is None:
             raise AssertionError("irreducible factor has no root in its splitting degree")
         return big, gen_image, root
 
 
-def _lex_tuples(p: int, k: int):
-    """Int tuples of length k over range(p), counting with the first entry
-    as the fastest digit.  Lazy in p: itertools.product would hold
-    range(p) in memory, gigabytes for p near 10^9."""
-    for n in range(p ** k):
-        digits = []
-        for _ in range(k):
-            digits.append(n % p)
-            n //= p
-        yield tuple(digits)
-
-
 def _embed_generator(small: ResidueField, big: ResidueField):
     """Image of small's generator in big: the canonical root of small's
-    modulus."""
+    modulus, whose F_p coefficients are elements of big as they stand."""
     if small.k == 1:
         return big.one
-    lifted = tuple(big.from_int(c) for c in small.modulus)
-    root = _first_root(big, lifted)
+    root = _first_root(big, small.modulus)
     if root is None:
         raise AssertionError("no embedding root found")
     return root
@@ -1018,11 +1055,12 @@ def _embed_generator(small: ResidueField, big: ResidueField):
 
 def _first_root(field: ResidueField, poly):
     for a in field.elements():
-        if field.is_zero(field.poly_eval(poly, a)):
+        if not field.poly_eval(poly, a):
             return a
     return None
 
 
-def _embedded(big: ResidueField, gen_image, elt):
-    """Map an element of a subfield into big, its generator to gen_image."""
-    return big.poly_eval([big.from_int(c) for c in elt], gen_image)
+def _embedded(small: ResidueField, big: ResidueField, gen_image, elt):
+    """Map an element of the subfield small into big, small's generator to
+    gen_image."""
+    return big.poly_eval(small.coords(elt), gen_image)

@@ -14,6 +14,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .algebra import INF, UniPoly, ValuedFieldCtx
 from .errors import MalformedInput, MathRejection
@@ -99,8 +100,55 @@ def parse_xpoly(arr) -> XPoly:
 
 
 def serialize(doc) -> str:
-    """Canonical text: sorted keys, no float anywhere."""
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    """Canonical text: sorted keys, no float anywhere.  The text of
+    json.dumps(doc, sort_keys=True, indent=1) plus a newline, written here
+    because json runs its pure-Python encoder whenever indent is set."""
+    out = []
+    _write_json(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(o, nl: str, out: list) -> None:
+    """Append the JSON text of o to out; nl is the newline and indent of
+    o's own line.  Keys must be str; a float or any type outside JSON
+    raises TypeError."""
+    if isinstance(o, str):
+        out.append(_json_str(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for x in o:
+            out.append(sep)
+            _write_json(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            out.append(sep + _json_str(k) + ": ")
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def deserialize(text: str):

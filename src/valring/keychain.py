@@ -59,8 +59,8 @@ class ChainEntry:
     a: Fraction | None       # p**gamma for finite gamma, None at i_max
     Qt: UniPoly              # Q / a (Q itself at i_max)
     res_field: ResidueField | None = None   # field containing z
-    z: tuple | None = None                  # residue of Qt(eta); None until known
-    emb_prev: tuple | None = None           # image of previous entry's field generator
+    z: int | None = None                    # residue of Qt(eta); None until known
+    emb_prev: int | None = None             # image of previous entry's field generator
 
 
 def _entry(ctx: ValuedFieldCtx, position: int, Q: UniPoly, gamma,
@@ -135,7 +135,7 @@ class KeyChain:
             p = self.ctx.p
             n, d = f.nums[0], f.den
             vn, vd = _intval(p, n), _intval(p, d)
-            fp = ResidueField.prime(p)
+            fp = self.ctx.residue_field
             return vn - vd, fp.from_int(n // p ** vn * pow(d // p ** vd, -1, p)), fp
         ent = self.entries[k]
         if ent.z is None or ent.res_field is None:
@@ -154,7 +154,7 @@ class KeyChain:
         for j, v, r, sub in pairs:
             if v != best:
                 continue
-            rbig = _embedded(fld, ent.emb_prev, r) if sub != fld else r
+            rbig = _embedded(sub, fld, ent.emb_prev, r) if sub != fld else r
             res = fld.add(res, fld.mul(rbig, fld.pow(ent.z, j)))
         if fld.is_zero(res):
             raise AssertionError("vanishing residue: evaluator used outside its domain")
@@ -309,14 +309,14 @@ def _segment_residual(chain: KeyChain, i: int, exp, line: dict, t: int):
         if sub != fld:
             # adjacent-stage embedding: entry i-1 carries the image of its
             # predecessor's generator
-            r = _embedded(fld, chain.entries[i - 1].emb_prev, r)
+            r = _embedded(sub, fld, chain.entries[i - 1].emb_prev, r)
         coeffs.append(r)
     return tuple(coeffs), fld
 
 
 def _stage_field_below(chain: KeyChain, i: int) -> ResidueField:
     if i == 0:
-        return ResidueField.prime(chain.ctx.p)
+        return chain.ctx.residue_field
     ent = chain.entries[i - 1]
     if ent.res_field is None:
         raise AssertionError("stage field missing")
@@ -370,7 +370,7 @@ def _refine_key(chain: KeyChain, root, fld: ResidueField) -> UniPoly:
             "within-plateau refinement above degree 1 is not constructible here")
     if fld.k != 1:
         raise AssertionError("degree-1 plateau with extended residue field")
-    zhat = root[0] % p
+    zhat = root % p
     c_prev = -top.Q.nums[0]
     gamma = int(top.gamma)
     if gamma == 0:
@@ -395,7 +395,7 @@ def _jump_key(chain: KeyChain, phi, fld: ResidueField) -> UniPoly:
     gamma = int(top.gamma)
     out = UniPoly()
     for k, c in enumerate(phi):
-        ck = c[0] % p
+        ck = c % p
         if ck == 0:
             continue
         out = out + top.Q ** k * (ck * Fraction(p) ** ((d - k) * gamma))

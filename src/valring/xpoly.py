@@ -151,13 +151,9 @@ class XPoly(_QPoly):
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = XPoly.const(other)
-        return isinstance(other, XPoly) and self.den == other.den \
-            and self.nums == other.nums
-
     def __hash__(self):
+        if self.nums.keys() <= {()}:
+            return hash(Fraction(self.nums.get((), 0), self.den))
         return hash((frozenset(self.nums.items()), self.den))
 
     def __add__(self, other):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import random
 import time
 import tracemalloc
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,26 @@ C2 = ValuedFieldCtx(2)
 
 def P(*coeffs):
     return UniPoly(coeffs)
+
+
+def _el(fld, digits):
+    """The element of fld with coefficients `digits` over F_p: the int
+    sum c_i p^i."""
+    return sum(c * fld.p ** i for i, c in enumerate(digits))
+
+
+def _poly_el(fld, cs):
+    """A polynomial over fld from coefficients given as digit tuples."""
+    return tuple(_el(fld, c) for c in cs)
+
+
+def _poly_coords(fld, f):
+    """A polynomial over fld with each coefficient as its digit tuple."""
+    return tuple(fld.coords(c) for c in f)
+
+
+def _factors_coords(fld, f):
+    return [(_poly_coords(fld, g), m) for g, m in fld.factor_monic(f)]
 
 
 class TestPval:
@@ -305,14 +326,15 @@ class TestResidueField:
         assert [ResidueField.of_degree(p, k).modulus
                 for p, k in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 2), (7, 2)]] == \
             [(1, 1, 1), (1, 1, 0, 1), (1, 0, 1), (1, 2, 0, 1), (2, 0, 1), (1, 0, 1)]
-        assert list(ResidueField.of_degree(3, 2).elements())[:5] == \
+        f9, f3 = ResidueField.of_degree(3, 2), ResidueField.prime(3)
+        assert [f9.coords(a) for a in list(f9.elements())[:5]] == \
             [(0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
-        assert list(ResidueField.prime(3).monic_polys(2))[:5] == [
+        assert [_poly_coords(f3, f) for f in list(f3.monic_polys(2))[:5]] == [
             ((0,), (0,), (1,)), ((0,), (1,), (1,)), ((0,), (2,), (1,)),
             ((1,), (0,), (1,)), ((1,), (1,), (1,))]
         f4 = ResidueField.of_degree(2, 2)
         assert list(f4.monic_polys(1)) == [(a, f4.one) for a in f4.elements()]
-        assert list(f4.monic_polys(2))[:5] == [
+        assert [_poly_coords(f4, f) for f in list(f4.monic_polys(2))[:5]] == [
             ((0, 0), (0, 0), (1, 0)), ((0, 0), (1, 0), (1, 0)), ((0, 0), (0, 1), (1, 0)),
             ((0, 0), (1, 1), (1, 0)), ((1, 0), (0, 0), (1, 0))]
 
@@ -323,8 +345,8 @@ class TestResidueField:
         fp = ResidueField.prime(p)
         tracemalloc.start()
         try:
-            assert next(fp.elements()) == (0,)
-            assert next(fp.monic_polys(2)) == ((0,), (0,), (1,))
+            assert fp.coords(next(fp.elements())) == (0,)
+            assert _poly_coords(fp, next(fp.monic_polys(2))) == ((0,), (0,), (1,))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -450,13 +472,13 @@ class TestFactorMonic:
     ])
     def test_vanishing_derivative(self, p, k, cs):
         fld = ResidueField.of_degree(p, k)
-        f = tuple(fld.from_int(c) if isinstance(c, int) else c for c in cs)
+        f = tuple(fld.from_int(c) if isinstance(c, int) else _el(fld, c) for c in cs)
         assert fld.factor_monic(f) == _trial_factor(fld, f)
 
     def test_degree_one_and_constants(self):
         f7 = ResidueField.prime(7)
-        assert f7.factor_monic(((3,), (2,))) == [(((5,), (1,)), 1)]
-        assert f7.factor_monic(((3,),)) == []
+        assert _factors_coords(f7, _poly_el(f7, ((3,), (2,)))) == [(((5,), (1,)), 1)]
+        assert f7.factor_monic(_poly_el(f7, ((3,),))) == []
         assert f7.factor_monic(()) == []
 
     # sympy sorts its own modular factors with a comparison it deprecates
@@ -469,17 +491,452 @@ class TestFactorMonic:
         rng = random.Random(p)
         for _ in range(20):
             f = _random_product(fld, rng, rng.randint(1, 4), 4)
-            _, facs = sympy.factor_list(sum(c * y ** i for i, (c,) in enumerate(f)),
+            _, facs = sympy.factor_list(sum(c * y ** i for i, (c,) in
+                                            enumerate(_poly_coords(fld, f))),
                                         modulus=p)
             want = {(tuple((int(c) % p,) for c in reversed(sympy.Poly(h, y).all_coeffs())), m)
                     for h, m in facs}
-            assert set(fld.factor_monic(f)) == want
+            assert set(_factors_coords(fld, f)) == want
 
     def test_irreducible_sextic_over_f7_is_fast(self):
         # the residual of the generator [-36, 7, 13, 11, -4, -38, 1] at its
         # first step: irreducible of degree 6 over F_7
         f7 = ResidueField.prime(7)
-        f = tuple((c,) for c in (6, 0, 6, 4, 3, 4, 1))
+        f = _poly_el(f7, tuple((c,) for c in (6, 0, 6, 4, 3, 4, 1)))
         start = time.perf_counter()
         assert f7.factor_monic(f) == [(f, 1)]
         assert time.perf_counter() - start < 0.5
+
+
+class TestIntElementsMatchTupleReference:
+    """ResidueField against TupleField, the same algorithms on digit-tuple
+    elements, read through coords."""
+
+    @pytest.mark.parametrize("p, k, max_deg", FIELDS)
+    def test_elements_and_arithmetic(self, p, k, max_deg):
+        fld, ref = ResidueField.of_degree(p, k), TupleField.of_degree(p, k)
+        assert fld.modulus == ref.modulus
+        els = list(fld.elements())
+        assert [fld.coords(a) for a in els] == list(ref.elements())
+        assert [_el(fld, fld.coords(a)) for a in els] == els
+        c = fld.coords
+        assert (c(fld.zero), c(fld.one), c(fld.gen)) == (ref.zero, ref.one, ref.gen)
+        for a in els:
+            ra = c(a)
+            assert c(fld.neg(a)) == ref.neg(ra)
+            assert c(fld.frobenius(a)) == ref.frobenius(ra)
+            for n in (0, 1, 2, 5, fld.q - 2, fld.q + 3):
+                assert c(fld.pow(a, n)) == ref.pow(ra, n)
+            if a:
+                assert c(fld.inv(a)) == ref.inv(ra)
+            for b in els:
+                rb = c(b)
+                assert c(fld.add(a, b)) == ref.add(ra, rb)
+                assert c(fld.sub(a, b)) == ref.sub(ra, rb)
+                assert c(fld.mul(a, b)) == ref.mul(ra, rb)
+
+    @pytest.mark.parametrize("p, k, max_deg", FIELDS)
+    def test_divmod_and_factor_monic(self, p, k, max_deg):
+        fld, ref = ResidueField.of_degree(p, k), TupleField.of_degree(p, k)
+        rng = random.Random(7 * p + k)
+        for _ in range(10):
+            f = _random_product(fld, rng, rng.randint(1, 4), max_deg)
+            g = _random_product(fld, rng, rng.randint(0, 2), max_deg)
+            want = ref.poly_divmod(_poly_coords(fld, f), _poly_coords(fld, g))
+            assert tuple(_poly_coords(fld, r) for r in fld.poly_divmod(f, g)) == want
+            assert _factors_coords(fld, f) == ref.factor_monic(_poly_coords(fld, f))
+
+    @pytest.mark.parametrize("p, k, max_deg", FIELDS)
+    def test_extend_by(self, p, k, max_deg):
+        fld, ref = ResidueField.of_degree(p, k), TupleField.of_degree(p, k)
+        degrees = (2, 3) if fld.q ** 3 <= 512 else (2,)
+        for d in degrees:
+            irreducible = [phi for phi in fld.monic_polys(d)
+                           if fld.factor_monic(phi) == [(phi, 1)]][:3]
+            for phi in irreducible:
+                big, gen_image, root = fld.extend_by(phi)
+                rbig, rgen, rroot = ref.extend_by(_poly_coords(fld, phi))
+                assert big.modulus == rbig.modulus
+                assert (big.coords(gen_image), big.coords(root)) == (rgen, rroot)
+
+
+# ---------------------------------------------------------------------------
+# Reference: residue-field elements as digit tuples
+# ---------------------------------------------------------------------------
+
+class TupleField:
+    """Reference for ResidueField: the same field and algorithms with each
+    element an int tuple (c_0, ..., c_{k-1}), the layout whose canonical
+    orders the int encoding must keep.  F_{p^k} = F_p[t]/(h) with h the
+    canonical irreducible of degree k.
+
+    Elements are int tuples of length k (coefficients of t-powers, each in
+    range(p)).  Deterministic: defining polynomials are the
+    lexicographically smallest irreducibles, scanning coefficients in
+    {0, ..., p-1}.
+    """
+
+    def __init__(self, p: int, modulus=None):
+        self._set_modulus(p, modulus)
+        if self.k > 1 and not self._prime._poly_irreducible(self.modulus):
+            raise MalformedInput("modulus is reducible")
+
+    def _set_modulus(self, p: int, modulus):
+        self.p = p
+        if modulus is None:
+            modulus = (0, 1)  # F_p itself: t
+        self.modulus = tuple(int(c) % p for c in modulus)
+        if self.modulus[-1] != 1:
+            raise MalformedInput("modulus must be monic")
+        self.k = len(self.modulus) - 1
+        if self.k < 1:
+            raise MalformedInput("modulus must be nonconstant")
+        self._prime = self if self.k == 1 else TupleField(p)
+
+    # -- construction -----------------------------------------------------
+
+    @classmethod
+    def prime(cls, p: int) -> "TupleField":
+        return cls(p)
+
+    @classmethod
+    def of_degree(cls, p: int, k: int) -> "TupleField":
+        """The canonical field of degree k: lexicographically smallest
+        monic irreducible modulus."""
+        if k == 1:
+            return cls(p)
+        base = cls(p)
+        for coeffs in _ref_lex_tuples(p, k):
+            cand = coeffs + (1,)
+            if base._poly_irreducible(cand):
+                # the scan has just tested cand: skip the test in __init__
+                out = cls.__new__(cls)
+                out._set_modulus(p, cand)
+                return out
+        raise MalformedInput("no irreducible found")  # unreachable
+
+    # -- element arithmetic ------------------------------------------------
+
+    @property
+    def zero(self):
+        return (0,) * self.k
+
+    @property
+    def one(self):
+        return (1,) + (0,) * (self.k - 1)
+
+    @property
+    def gen(self):
+        if self.k == 1:
+            return self.one
+        return (0, 1) + (0,) * (self.k - 2)
+
+    def from_int(self, n: int):
+        return (n % self.p,) + (0,) * (self.k - 1)
+
+    def is_zero(self, a) -> bool:
+        return all(c == 0 for c in a)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def mul(self, a, b):
+        p = self.p
+        prod = [0] * (2 * self.k - 1)
+        for i, x in enumerate(a):
+            if x == 0:
+                continue
+            for j, y in enumerate(b):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        # reduce mod modulus
+        for i in range(len(prod) - 1, self.k - 1, -1):
+            c = prod[i]
+            if c == 0:
+                continue
+            prod[i] = 0
+            for j in range(self.k):
+                prod[i - self.k + j] = (prod[i - self.k + j] - c * self.modulus[j]) % p
+        return tuple(prod[: self.k])
+
+    def pow(self, a, n: int):
+        out = self.one
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            a = self.mul(a, a)
+            n >>= 1
+        return out
+
+    def inv(self, a):
+        if self.is_zero(a):
+            raise ZeroDivisionError("inverse of zero in residue field")
+        if self.k == 1:
+            return (pow(a[0], -1, self.p),)
+        # extended Euclid in F_p[t]: s_i * a == r_i mod the modulus
+        fp = self._prime
+        r0, r1 = tuple((c,) for c in self.modulus), fp.poly_norm([(c,) for c in a])
+        s0, s1 = (), (fp.one,)
+        while len(r1) > 1:
+            q, r = fp.poly_divmod(r0, r1)
+            r0, r1, s0, s1 = r1, r, s1, fp.poly_sub(s0, fp.poly_mul(q, s1))
+        c = pow(r1[0][0], -1, self.p)
+        s = [sc * c % self.p for (sc,) in s1]
+        return tuple(s) + (0,) * (self.k - len(s))
+
+    def frobenius(self, a):
+        return self.pow(a, self.p)
+
+    def elements(self):
+        """All elements in canonical (lexicographic tuple) order."""
+        return _ref_lex_tuples(self.p, self.k)
+
+    def __eq__(self, other):
+        return (isinstance(other, TupleField) and other.p == self.p
+                and other.modulus == self.modulus)
+
+    def __hash__(self):
+        return hash((self.p, self.modulus))
+
+    def __repr__(self):
+        return f"F_{self.p}^{self.k}"
+
+    # -- polynomials over the field ----------------------------------------
+
+    def poly_norm(self, cs):
+        cs = list(cs)
+        while cs and self.is_zero(cs[-1]):
+            cs.pop()
+        return tuple(cs)
+
+    def poly_add(self, f, g):
+        return self.poly_norm([self.add(a, b) for a, b in zip_longest(f, g, fillvalue=self.zero)])
+
+    def poly_sub(self, f, g):
+        return self.poly_add(f, [self.neg(c) for c in g])
+
+    def poly_mul(self, f, g):
+        if not f or not g:
+            return ()
+        out = [self.zero] * (len(f) + len(g) - 1)
+        for i, a in enumerate(f):
+            if self.is_zero(a):
+                continue
+            for j, b in enumerate(g):
+                out[i + j] = self.add(out[i + j], self.mul(a, b))
+        return self.poly_norm(out)
+
+    def poly_mulmod(self, f, g, m):
+        return self.poly_divmod(self.poly_mul(f, g), m)[1]
+
+    def poly_powmod(self, f, n: int, m):
+        out, f = (self.one,), self.poly_divmod(f, m)[1]
+        while n:
+            if n & 1:
+                out = self.poly_mulmod(out, f, m)
+            n >>= 1
+            if n:
+                f = self.poly_mulmod(f, f, m)
+        return out
+
+    def poly_gcd(self, f, g):
+        """The monic gcd, by Euclid's algorithm."""
+        while g:
+            f, g = g, self.poly_divmod(f, g)[1]
+        return self.poly_monic(f)
+
+    def poly_divmod(self, f, g):
+        f = list(f)
+        if not g:
+            raise ZeroDivisionError
+        dg = len(g) - 1
+        if len(f) - 1 < dg:
+            return (), self.poly_norm(f)
+        lcinv = None if g[-1] == self.one else self.inv(g[-1])
+        quot = [self.zero] * (len(f) - dg)
+        for k in range(len(f) - 1, dg - 1, -1):
+            c = f[k]
+            if self.is_zero(c):
+                continue
+            q = c if lcinv is None else self.mul(c, lcinv)
+            quot[k - dg] = q
+            for j in range(dg + 1):
+                f[k - dg + j] = self.sub(f[k - dg + j], self.mul(q, g[j]))
+        return self.poly_norm(quot), self.poly_norm(f)
+
+    def poly_eval(self, f, a):
+        acc = self.zero
+        for c in reversed(f):
+            acc = self.add(self.mul(acc, a), c)
+        return acc
+
+    def poly_monic(self, f):
+        if not f:
+            return ()
+        lcinv = self.inv(f[-1])
+        return tuple(self.mul(c, lcinv) for c in f)
+
+    def monic_polys(self, degree: int):
+        """Monic polynomials of the given degree in canonical order: c_0
+        slowest, each coefficient counted as in elements()."""
+        k = self.k
+        for t in _ref_lex_tuples(self.p, k * degree):
+            yield tuple(t[j:j + k] for j in range(k * (degree - 1), -1, -k)) + (self.one,)
+
+    def _poly_irreducible(self, cs) -> bool:
+        f = self.poly_norm([self.from_int(c) if isinstance(c, int) else c for c in cs])
+        d = len(f) - 1
+        if d < 1:
+            return False
+        if d == 1:
+            return True
+        for e in range(1, d // 2 + 1):
+            for g in self.monic_polys(e):
+                if not self.poly_divmod(f, g)[1]:
+                    return False
+        return True
+
+    def factor_monic(self, f):
+        """Distinct monic irreducible factors of f with multiplicities, in
+        canonical order: by degree, then c_0, c_1, ... compared in turn, each
+        coefficient ranked by its index in elements().
+
+        Squarefree decomposition, distinct-degree factorization and
+        Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
+        Modern Computer Algebra, ch. 14), with splitting polynomials drawn
+        from a generator seeded inside the call, then sorted."""
+        f = self.poly_monic(self.poly_norm(f))
+        if len(f) - 1 < 1:
+            return []
+        if len(f) - 1 == 1:
+            return [(f, 1)]
+        rng = random.Random(0)
+        out = [(fac, mult)
+               for part, mult in self._squarefree(f)
+               for d, same in self._distinct_degree(part)
+               for fac in self._equal_degree(same, d, rng)]
+        return sorted(out, key=lambda fm: (len(fm[0]), [c[::-1] for c in fm[0]]))
+
+    def _squarefree(self, f):
+        """(part, multiplicity) pairs of the monic f: each part is monic,
+        squarefree and the product of the irreducible factors of f of that
+        multiplicity."""
+        out = []
+        c = self.poly_gcd(f, self._poly_derivative(f))
+        w = self.poly_divmod(f, c)[0]
+        i = 1
+        while len(w) > 1:
+            # w: the factors of multiplicity >= i prime to p; w / gcd(w, c):
+            # those of multiplicity exactly i
+            y = self.poly_gcd(w, c)
+            part = self.poly_divmod(w, y)[0]
+            if len(part) > 1:
+                out.append((part, i))
+            w, c, i = y, self.poly_divmod(c, y)[0], i + 1
+        if len(c) > 1:
+            # c is a p-th power: take the p-th root, a -> a^(p^(k-1)) on
+            # the coefficients of t^(p j)
+            root = self.p ** (self.k - 1)
+            c = tuple(self.pow(a, root) for a in c[::self.p])
+            out.extend((part, m * self.p) for part, m in self._squarefree(c))
+        return out
+
+    def _poly_derivative(self, f):
+        return self.poly_norm([tuple(j * x % self.p for x in a)
+                               for j, a in enumerate(f) if j])
+
+    def _distinct_degree(self, f):
+        """(d, product of the degree-d irreducible factors) of the monic
+        squarefree f, from gcd(f, t^(q^d) - t)."""
+        x = (self.zero, self.one)
+        out, h, d = [], x, 0
+        while len(f) - 1 >= 2 * (d + 1):
+            d += 1
+            h = self.poly_powmod(h, self.p ** self.k, f)
+            g = self.poly_gcd(f, self.poly_sub(h, x))
+            if len(g) > 1:
+                out.append((d, g))
+                f = self.poly_divmod(f, g)[0]
+                h = self.poly_divmod(h, f)[1]
+        if len(f) > 1:
+            out.append((len(f) - 1, f))
+        return out
+
+    def _equal_degree(self, f, d, rng):
+        """The irreducible factors of the monic squarefree f, all of degree d:
+        gcd(f, b) with b = a^((q^d - 1)/2) - 1 for odd p, or the trace
+        sum_{j < kd} a^(2^j) for p = 2, splits f for about half the a."""
+        if len(f) - 1 == d:
+            return [f]
+        while True:
+            a = self.poly_norm([tuple(rng.randrange(self.p) for _ in range(self.k))
+                                for _ in range(len(f) - 1)])
+            if self.p == 2:
+                b = t = a
+                for _ in range(self.k * d - 1):
+                    t = self.poly_mulmod(t, t, f)
+                    b = self.poly_add(b, t)
+            else:
+                e = (self.p ** (self.k * d) - 1) // 2
+                b = self.poly_sub(self.poly_powmod(a, e, f), (self.one,))
+            g = self.poly_gcd(f, b)
+            if 1 < len(g) < len(f):
+                return (self._equal_degree(g, d, rng)
+                        + self._equal_degree(self.poly_divmod(f, g)[0], d, rng))
+
+    def extend_by(self, phi):
+        """Extension by an irreducible phi over this field.
+
+        Returns (big, gen_image, root): the canonical flat field of degree
+        k*deg(phi), the image of this field's generator inside it, and the
+        canonical (lexicographically first) root of phi there.
+        """
+        d = len(phi) - 1
+        big = TupleField.of_degree(self.p, self.k * d)
+        gen_image = _ref_embed_generator(self, big)
+        lifted = tuple(_ref_embedded(big, gen_image, c) for c in phi)
+        root = _ref_first_root(big, lifted)
+        if root is None:
+            raise AssertionError("irreducible factor has no root in its splitting degree")
+        return big, gen_image, root
+
+
+def _ref_lex_tuples(p: int, k: int):
+    """Int tuples of length k over range(p), counting with the first entry
+    as the fastest digit.  Lazy in p: itertools.product would hold
+    range(p) in memory, gigabytes for p near 10^9."""
+    for n in range(p ** k):
+        digits = []
+        for _ in range(k):
+            digits.append(n % p)
+            n //= p
+        yield tuple(digits)
+
+
+def _ref_embed_generator(small: TupleField, big: TupleField):
+    """Image of small's generator in big: the canonical root of small's
+    modulus."""
+    if small.k == 1:
+        return big.one
+    lifted = tuple(big.from_int(c) for c in small.modulus)
+    root = _ref_first_root(big, lifted)
+    if root is None:
+        raise AssertionError("no embedding root found")
+    return root
+
+
+def _ref_first_root(field: TupleField, poly):
+    for a in field.elements():
+        if field.is_zero(field.poly_eval(poly, a)):
+            return a
+    return None
+
+
+def _ref_embedded(big: TupleField, gen_image, elt):
+    """Map an element of a subfield into big, its generator to gen_image."""
+    return big.poly_eval([big.from_int(c) for c in elt], gen_image)

@@ -1,8 +1,11 @@
 import json
 import random
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from valring.cli import (JobConfig, deserialize, fmt_unipoly, fmt_value,
                          fmt_xpoly, main, parse_unipoly, parse_value,
@@ -298,3 +301,21 @@ class TestDeterminism:
     def test_roundtrip_on_generator_set(self):
         text = serialize(run("present", cfg(EXC)))
         assert serialize(deserialize(text)) == text
+
+
+JSON_DOCS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(), kids, max_size=4),
+    max_leaves=40)
+
+
+class TestSerialize:
+    @given(JSON_DOCS)
+    @example({"": [], "\x00\n\"\\": {}, "é☃\U0001d11e": [-(10 ** 40), 10 ** 40, True, None]})
+    def test_matches_json_dumps(self, doc):
+        assert serialize(doc) == json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+    @pytest.mark.parametrize("doc", [1.5, {"a": [Fraction(1, 2)]}, {1: "a"}, {"a": {2}}])
+    def test_rejects_non_json(self, doc):
+        with pytest.raises(TypeError):
+            serialize(doc)

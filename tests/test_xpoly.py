@@ -271,6 +271,16 @@ def test_cancellation_to_zero_and_to_integers():
     assert (half * 6).is_integral and (half * 6).den == 1
 
 
+@pytest.mark.parametrize("c", [0, 1, -7, 10 ** 30, Fraction(1, 2), Fraction(-9, 4)])
+def test_constants_equal_and_hash_like_their_scalar(c):
+    for poly in (XPoly.const(c), UniPoly((c,))):
+        assert poly == c and c == poly and hash(poly) == hash(c)
+        assert len({poly, c}) == 1
+        assert poly != c + 1
+    assert XPoly.const(c) != UniPoly((c,))
+    assert XPoly.var(0) + c != c and UniPoly((c, 1)) != c
+
+
 def test_terms_is_a_read_only_fraction_view():
     F = XPoly({((0, 1),): Fraction(3, 4)})
     assert dict(F.terms) == {((0, 1),): Fraction(3, 4)}
