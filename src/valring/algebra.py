@@ -135,14 +135,20 @@ class ValuedFieldCtx:
 
 def _intval(p: int, n: int):
     """v_p(n) for an int n, INF for 0.  Divides out p^(2^j) for growing j,
-    then for shrinking j, so a value v costs O(log v) divisions."""
+    then for shrinking j, so a value v costs O(log v) divisions, each one
+    divmod; v_2 is the index of the lowest set bit."""
     if n == 0:
         return INF
     if n % p:
         return 0
+    if p == 2:
+        return (n & -n).bit_length() - 1
     v, q, e = 0, p, 1
-    while n % q == 0:
-        n //= q
+    while True:
+        m, r = divmod(n, q)
+        if r:
+            break
+        n = m
         v += e
         if n % p:
             return v
@@ -150,8 +156,9 @@ def _intval(p: int, n: int):
     # p still divides n, to a power below e: take its binary digits
     while e > 1:
         q, e = isqrt(q), e // 2
-        if n % q == 0:
-            n //= q
+        m, r = divmod(n, q)
+        if not r:
+            n = m
             v += e
     return v
 
@@ -438,14 +445,27 @@ def qexpand(f: UniPoly, q: UniPoly, scale=1):
             out.append(r * scale ** len(out))
         return tuple(out)
     sn, sd = scale.numerator, scale.denominator
-    nums, den = list(f.nums), f.den
+    den = f.den
     pn, pd = 1, 1
-    while nums:
-        quot = _idivmod(nums, q.nums)
-        out.append(UniPoly._make([c * pn for c in nums] if pn != 1 else nums, den * pd))
-        nums = quot
+    for d in _iexpand(f.nums, q.nums):
+        out.append(UniPoly._make([c * pn for c in d] if pn != 1 else d, den * pd))
         pn, pd = pn * sn, pd * sd
     return tuple(out)
+
+
+def _iexpand(nums, qn) -> list:
+    """The digits of the q-expansion of the int list nums, for q monic
+    integral with numerators qn: int lists without trailing zeros (an empty
+    list is a zero digit), one pass of synthetic divisions."""
+    nums = list(nums)
+    out = []
+    while nums:
+        quot = _idivmod(nums, qn)
+        while nums and not nums[-1]:
+            nums.pop()
+        out.append(nums)
+        nums = quot
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +718,7 @@ class ResidueField:
         if modulus is None:
             modulus = (0, 1)  # F_p itself: t
         self.modulus = tuple(int(c) % p for c in modulus)
-        if self.modulus[-1] != 1:
+        if not self.modulus or self.modulus[-1] != 1:
             raise MalformedInput("modulus must be monic")
         self.k = len(self.modulus) - 1
         if self.k < 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
@@ -25,7 +26,7 @@ from .presentrel import ideal_generators, redundancy_cofactor
 from .rewrite import (building, is_neat, reduction, total_reduction,
                       total_s_building, vdeg)
 from .verify import check_relations, completeness_probe, membership
-from .xpoly import XPoly
+from .xpoly import XPoly, monom
 
 COMMANDS = ("chain", "present", "eval", "expand", "build", "reduce", "member", "check")
 
@@ -34,26 +35,49 @@ CONFIG_FIELDS = {"p", "g", "branch", "depth", "mode", "payload", "seed"}
 # bounds the work of build, reduce and member: the largest degree in x of a
 # payload xpoly's image under X_i -> Qt_i, its virtual degree
 MAX_IMAGE_DEGREE = 256
+# bounds the work of every command: the number of chain entries asked for
+MAX_DEPTH = 256
+
+_DECIMAL_INT = re.compile(r"-?[0-9]+")
 
 
 # -- scalar and polynomial text formats --------------------------------------
+
+def _int_text(n: int) -> str:
+    """Decimal text of an int of any size.  Past the interpreter's
+    int-to-str digit limit, str(n) raises; then n is split at a power of
+    ten near half its digits and the halves are written in turn."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20           # about half the digits
+        hi, lo = divmod(abs(n), 10 ** k)
+        sign = "-" if n < 0 else ""
+        return sign + _int_text(hi) + _int_text(lo).zfill(k)
+
 
 def fmt_value(v) -> str:
     if v is INF:
         return "inf"
     f = Fraction(v)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return _int_text(f.numerator)
+    return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"
 
 
 def parse_value(s):
+    """An exact scalar: INF for "inf", an int for a JSON integer or a string
+    of an optional minus sign and ASCII digits, else a Fraction."""
+    if type(s) is int:
+        return s
     if s == "inf":
         return INF
     if isinstance(s, float):
         raise MalformedInput(
             f"JSON float {s!r} is not exact: write it as an integer or a string")
     try:
+        if isinstance(s, str) and _DECIMAL_INT.fullmatch(s):
+            return int(s)
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedInput(f"bad rational {s!r}: {e}")
@@ -95,8 +119,14 @@ def parse_xpoly(arr) -> XPoly:
             if not (k.isascii() and k.isdigit()):
                 raise MalformedInput(f"variable position must be an integer >= 0, got {k!r}")
             mono.append((int(k), _parse_index(v, "exponent", 1)))
-        terms.append((tuple(sorted(mono)), parse_value(item["c"])))
-    return XPoly(terms)
+        # "0" and "00" name one position: the larger exponent wins, as in XPoly
+        terms.append((monom(dict(sorted(mono))), parse_value(item["c"])))
+    if not all(type(c) is int for _, c in terms):
+        return XPoly(terms)
+    nums = {}
+    for m, c in terms:
+        nums[m] = nums.get(m, 0) + c
+    return XPoly._make(nums, 1)
 
 
 def serialize(doc) -> str:
@@ -122,7 +152,7 @@ def _write_json(o, nl: str, out: list) -> None:
     elif o is False:
         out.append("false")
     elif isinstance(o, int):
-        out.append(int.__repr__(o))
+        out.append(_int_text(o))
     elif isinstance(o, (list, tuple)):
         if not o:
             out.append("[]")
@@ -156,6 +186,10 @@ def deserialize(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedInput(f"parse error at line {e.lineno} column {e.colno}: {e.msg}")
+    except ValueError:
+        # json reads integer literals with int(), which refuses long ones
+        raise MalformedInput("an integer literal exceeds the limit of "
+                             f"{sys.get_int_max_str_digits()} digits") from None
 
 
 # -- config -------------------------------------------------------------------
@@ -183,6 +217,8 @@ class JobConfig:
         self.depth = doc.get("depth", 16)
         if type(self.depth) is not int or self.depth < 1:
             raise MalformedInput("depth must be a positive integer")
+        if self.depth > MAX_DEPTH:
+            raise MalformedInput(f"depth {self.depth} exceeds the bound {MAX_DEPTH}")
         self.mode = doc.get("mode", "full")
         if self.mode not in ("full", "collapsed"):
             raise MalformedInput(f"unknown mode {self.mode!r}")

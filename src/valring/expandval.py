@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import INF, UniPoly, is_finite, pval, qexpand
+from .algebra import INF, UniPoly, _iexpand, _intval, is_finite, pval
 from .errors import InsufficientDepth, MalformedInput
 from .keychain import KeyChain, segment
 from .xpoly import XPoly, monom
@@ -17,19 +17,28 @@ ORACLE = "oracle"
 RECURSIVE = "recursive"
 
 
-def _coeff_value(chain: KeyChain, f: UniPoly, method: str):
-    if method == RECURSIVE or f.degree == 0:
-        return chain.value_below(len(chain.entries) - 1, f)
-    return chain.nu(f).value
-
-
 def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
-    """{j: nu(f_j) + j*gamma_i} over the nonzero terms of the Q_i-expansion."""
+    """{j: nu(f_j) + j*gamma_i} over the nonzero terms of the Q_i-expansion.
+
+    The expansion runs on f's numerators (the key is monic integral), so
+    digit j is d_j / den.  A constant digit, and every digit on the
+    recursive route, takes its value from the chain-internal evaluator;
+    the oracle answers the other digits."""
     ent = chain.entry(i)
     if not is_finite(ent.gamma):
         raise MalformedInput(f"{what} needs a position of finite value")
-    return {j: _coeff_value(chain, fj, method) + j * ent.gamma
-            for j, fj in enumerate(qexpand(f, ent.Q)) if not fj.is_zero}
+    top = len(chain.entries) - 1
+    vden = _intval(chain.ctx.p, f.den)
+    out = {}
+    for j, d in enumerate(_iexpand(f.nums, ent.Q.nums)):
+        if not d:
+            continue
+        if method == RECURSIVE or len(d) == 1:
+            v = chain.ivalue(top, d) - vden
+        else:
+            v = chain.nu(UniPoly._make(d, f.den)).value
+        out[j] = v + j * ent.gamma
+    return out
 
 
 def truncate(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE):

@@ -29,6 +29,7 @@ from .algebra import (
     ValuedFieldCtx,
     _embed_generator,
     _embedded,
+    _iexpand,
     _intval,
     hensel_root,
     is_finite,
@@ -53,6 +54,10 @@ IMAX = "imax"
 
 @dataclass(frozen=True)
 class ChainEntry:
+    """One key of a chain.  Every key Q is monic with integer coefficients
+    (`gauss_start`, `_refine_key`, `_jump_key` and g itself build no other),
+    so expansions in Q run on integer numerators (`KeyChain.ivalue`)."""
+
     position: int
     Q: UniPoly
     gamma: object            # int, Fraction (synthetic only) or INF
@@ -103,19 +108,29 @@ class KeyChain:
     def value_below(self, k: int, f: UniPoly):
         """Exact value of f computed from entries 0..k by cascaded
         expansions; valid whenever deg f stays below the next plateau degree
-        above k."""
+        above k.  v(n/d) = v(n) - v(d), so the cascade runs on f's
+        numerators."""
         if f.is_zero:
             return INF
-        if k < 0 or f.degree == 0:
-            if f.degree > 0:
-                raise AssertionError("nonconstant reached the base of the evaluator")
-            return _intval(self.ctx.p, f.nums[0]) - _intval(self.ctx.p, f.den)
-        ent = self.entries[k]
-        if not is_finite(ent.gamma):
-            return self.value_below(k - 1, f)
-        if f.degree < ent.Q.degree:
-            return self.value_below(k - 1, f)
-        return min(self.line(k - 1, qexpand(f, ent.Q), ent.gamma).values())
+        return self.ivalue(k, f.nums) - _intval(self.ctx.p, f.den)
+
+    def ivalue(self, k: int, nums):
+        """`value_below` of the integer polynomial with nonempty numerator
+        list nums: skip the entries of infinite value or of degree above
+        deg f, expand in the first other key, recurse on the nonzero digits
+        below it and take v_p at constants."""
+        n = len(nums)
+        while n > 1 and k >= 0:
+            ent = self.entries[k]
+            qn = ent.Q.nums
+            if n >= len(qn) and ent.gamma is not INF:
+                gamma = ent.gamma
+                return min(self.ivalue(k - 1, d) + j * gamma
+                           for j, d in enumerate(_iexpand(nums, qn)) if d)
+            k -= 1
+        if n > 1:
+            raise AssertionError("nonconstant reached the base of the evaluator")
+        return _intval(self.ctx.p, nums[0])
 
     def line(self, k: int, exp, gamma) -> dict:
         """{j: value_below(k, f_j) + j*gamma} over the nonzero terms of an
@@ -192,8 +207,14 @@ class KeyChain:
                               self.cache().setdefault("qt_powers", {}))
 
     def nu(self, h: UniPoly) -> OracleValue:
-        # chains are immutable, so the cached Hensel root stays sound
-        return nu_oracle(self.ctx, self.g, self.branch_descriptor(), h, self.cache())
+        # chains are immutable, so the cached Hensel root and values stay
+        # sound; a raised OracleUnavailable is not kept
+        memo = self.cache().setdefault("nu", {})
+        got = memo.get(h)
+        if got is None:
+            got = memo[h] = nu_oracle(self.ctx, self.g, self.branch_descriptor(), h,
+                                      self.cache())
+        return got
 
     def __post_init__(self):
         object.__setattr__(self, "_cache", {})
@@ -338,13 +359,24 @@ def gauss_start(ctx: ValuedFieldCtx, g: UniPoly) -> KeyChain:
     if pval(ctx, g.coeffs[0]) != 0:
         raise UnsupportedNormalization(
             "v(g(0)) != 0: rescale the generator so every root is a unit")
+    # g integral and monic with v(g(0)) = 0 has a flat Newton polygon
     entry = _entry(ctx, 0, UniPoly.x(), 0)
-    chain = KeyChain(ctx, g, (entry,), "prefix-of-infinite-plateau", FULL)
-    poly = newton_polygon(chain, 0, g)
-    if any(s.slope != 0 for s in poly.segments):
-        raise UnsupportedNormalization(
-            "nonzero Newton slope: rescale the generator so every root is a unit")
-    return chain
+    return KeyChain(ctx, g, (entry,), "prefix-of-infinite-plateau", FULL)
+
+
+def _g_expansion(chain: KeyChain):
+    """(exp, line) for the top key Q: the Q-expansion of g and its value line
+    `line(top - 1, exp, nu(Q))`.  The step that built Q computed both and
+    seeded them into the chain's cache; on a miss (the Gauss chain, a
+    collapsed chain, a copy) they are computed and cached here."""
+    cache = chain.cache()
+    got = cache.get("g_expansion")
+    if got is None:
+        top = chain.entries[-1]
+        exp = qexpand(chain.g, top.Q)
+        got = cache["g_expansion"] = (
+            exp, chain.line(len(chain.entries) - 2, exp, top.gamma))
+    return got
 
 
 @dataclass(frozen=True)
@@ -405,10 +437,12 @@ def _jump_key(chain: KeyChain, phi, fld: ResidueField) -> UniPoly:
 def _admissible_slopes(chain: KeyChain, cand: UniPoly):
     """Slopes -t of the candidate's polygon with t above the current
     truncation value of the candidate; these are the possible values
-    nu(candidate) across branches through the current stage."""
+    nu(candidate) across branches through the current stage.  Also returns
+    the candidate-expansion of g and its points (j, value_below(f_j))."""
     k = len(chain.entries) - 1
     threshold = chain.value_below(k, cand)
-    pts = chain.line(k, qexpand(chain.g, cand), 0)
+    exp = qexpand(chain.g, cand)
+    pts = chain.line(k, exp, 0)
     if 0 not in pts:
         raise MalformedInput("candidate key divides g; g is reducible")
     hull = _lower_hull(pts.items())
@@ -418,7 +452,7 @@ def _admissible_slopes(chain: KeyChain, cand: UniPoly):
         if t > threshold:
             slopes.append(t)
     slopes.sort(reverse=True)  # hull order: steepest (largest t) first
-    return slopes, threshold
+    return slopes, exp, pts
 
 
 def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
@@ -431,9 +465,8 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
         raise MalformedInput("chain already complete")
     top = chain.entries[-1]
     step = len(chain.entries) - 1
-    exp = qexpand(chain.g, top.Q)
+    exp, line = _g_expansion(chain)
     gamma = int(top.gamma)
-    line = chain.line(step - 1, exp, gamma)
     if 0 not in line:
         raise MalformedInput("generator is divisible by a key polynomial; g is reducible")
     # the minimal segment of g's polygon has slope -gamma
@@ -468,7 +501,7 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
                           emb_prev=_prev_emb(chain, fld, new_field))
     patched = KeyChain(chain.ctx, chain.g, chain.entries[:-1] + (patched_top,),
                        chain.status, chain.mode, chain.branch_log)
-    slopes, threshold = _admissible_slopes(patched, cand)
+    slopes, cand_exp, pts = _admissible_slopes(patched, cand)
     if not slopes:
         raise AssertionError("no admissible slope for a freshly built key")
     choiceful = choiceful or len(slopes) > 1
@@ -486,8 +519,11 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     log = patched.branch_log
     if choiceful:
         log = log + (BranchPoint(step, tuple(factors), fac_idx, tuple(slopes), slope_idx),)
-    return KeyChain(chain.ctx, chain.g, patched.entries + (new_entry,),
-                    chain.status, chain.mode, log)
+    out = KeyChain(chain.ctx, chain.g, patched.entries + (new_entry,),
+                   chain.status, chain.mode, log)
+    out.cache()["g_expansion"] = (
+        cand_exp, {j: v + j * gamma_new for j, v in pts.items()})
+    return out
 
 
 def _prev_emb(chain: KeyChain, old_field: ResidueField, new_field: ResidueField):

@@ -388,6 +388,11 @@ class TestResidueField:
         with pytest.raises(MalformedInput):
             ResidueField(2, (1, 0, 1))
 
+    @pytest.mark.parametrize("modulus", [(), (0,), (1,), (1, 2)])
+    def test_degenerate_modulus_rejected(self, modulus):
+        with pytest.raises(MalformedInput):
+            ResidueField(2, modulus)
+
     def test_of_degree_tests_each_candidate_once(self, monkeypatch):
         calls = []
         real = ResidueField._poly_irreducible

@@ -1,5 +1,7 @@
 import json
 import random
+import re
+import sys
 import time
 from fractions import Fraction
 
@@ -7,15 +9,15 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from valring.cli import (JobConfig, deserialize, fmt_unipoly, fmt_value,
-                         fmt_xpoly, main, parse_unipoly, parse_value,
-                         parse_xpoly, run, serialize)
+from valring.cli import (MAX_DEPTH, JobConfig, _int_text, deserialize,
+                         fmt_unipoly, fmt_value, fmt_xpoly, main, parse_unipoly,
+                         parse_value, parse_xpoly, run, serialize)
 from valring.algebra import INF, UniPoly
 from valring.errors import MalformedInput
 from valring.keychain import IMAX, segment
 from valring.presentrel import ideal_generators
 from valring.rewrite import building, reduction
-from valring.xpoly import XPoly
+from valring.xpoly import XPoly, monom
 
 from conftest import GA, rand_xpoly
 
@@ -46,6 +48,99 @@ class TestFormats:
         with pytest.raises(MalformedInput) as e:
             deserialize("{bad json")
         assert "line" in str(e.value)
+
+
+def old_parse_value(s):
+    """parse_value before its integer fast path: everything through Fraction."""
+    if s == "inf":
+        return INF
+    if isinstance(s, float):
+        raise MalformedInput(f"JSON float {s!r}")
+    try:
+        return Fraction(str(s))
+    except (ValueError, ZeroDivisionError) as e:
+        raise MalformedInput(f"bad rational {s!r}: {e}")
+
+
+def old_parse_xpoly(arr):
+    """parse_xpoly before its integer fast path: the normalizing constructor."""
+    terms = []
+    for item in arr:
+        mono = [(int(k), v) for k, v in item["e"].items()]
+        terms.append((tuple(sorted(mono)), old_parse_value(item["c"])))
+    return XPoly(terms)
+
+
+def outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except MalformedInput:
+        return "malformed", None
+
+
+SCALARS = (st.integers() | st.booleans() | st.floats() | st.none()
+           | st.from_regex(r"-?[0-9]{1,40}", fullmatch=True)
+           | st.text(alphabet="-+0123456789/._e ", max_size=8)
+           | st.text(max_size=4) | st.just("inf"))
+
+
+def parse_dec(text):
+    """An int from its decimal text at any length, 1,000 digits at a time."""
+    sign, digits = (-1, text[1:]) if text.startswith("-") else (1, text)
+    n = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        n = n * 10 ** len(chunk) + int(chunk)
+    return sign * n
+
+
+class TestIntegerFastPath:
+    @given(SCALARS)
+    @example("5.0")
+    @example(" 5 ")
+    @example("1e3")
+    @example("3/6")
+    @example("5_000")
+    @example("\u0663")
+    @example("-0")
+    @example("+7")
+    @example("7\n")
+    def test_parse_value_matches_fraction_route(self, s):
+        got, want = outcome(parse_value, s), outcome(old_parse_value, s)
+        assert got == want
+        if type(s) is int or isinstance(s, str) and re.fullmatch("-?[0-9]+", s):
+            assert type(got[1]) is int
+
+    @given(st.lists(st.fixed_dictionaries({
+        "c": st.integers(-50, 50) | st.sampled_from(["3", "-4", "1/2", "0", "6/3", "0.5"]),
+        "e": st.dictionaries(st.sampled_from(["0", "1", "00", "2"]), st.integers(1, 3),
+                             max_size=3)}), max_size=6))
+    def test_parse_xpoly_matches_constructor_route(self, arr):
+        got, want = outcome(parse_xpoly, arr), outcome(old_parse_xpoly, arr)
+        assert got == want
+        if got[0] == "ok":
+            assert all(m == monom(dict(m)) for m in got[1].nums)
+
+    def test_integer_payload_is_canonical(self):
+        F = parse_xpoly([{"c": 2, "e": {"0": 1}}, {"c": "-2", "e": {"0": 1}},
+                         {"c": "6", "e": {}}])
+        assert F.nums == {(): 6} and F.den == 1 and F == XPoly.const(6)
+
+
+class TestLongIntegers:
+    @pytest.mark.parametrize("n", [0, 7, -7, 10 ** 4299, 10 ** 4300, -(10 ** 4300) - 1,
+                                   3 ** 20000, -(10 ** 9001) + 10 ** 4500],
+                             ids=lambda n: f"{'-' if n < 0 else ''}{n.bit_length()}bits")
+    def test_int_text_at_any_size(self, n):
+        text = _int_text(n)
+        assert parse_dec(text) == n
+        assert text.lstrip("-")[0] != "0" or n == 0
+
+    def test_serialize_and_fmt_value_write_long_ints(self):
+        n = 7 ** 9000
+        assert serialize({"n": n}) == '{\n "n": ' + _int_text(n) + "\n}\n"
+        assert fmt_value(Fraction(1, n)) == "1/" + _int_text(n)
+        assert fmt_value(-n) == _int_text(-n)
 
 
 class TestConfig:
@@ -276,6 +371,44 @@ class TestMainExitCodes:
         assert main(["--config", path, "--command", "chain"]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "malformed-input" and "3317044064679887385961981" in out["message"]
+
+    def test_output_integer_beyond_str_digit_limit(self, tmp_path, capsys):
+        # a = p^176 at the last entry has 4,316 digits, past the interpreter's
+        # 4,300-digit limit for str(int)
+        p = 3317044064679887385961801
+        path = self.write(tmp_path, {"p": p, "g": [-2, 0, 1], "branch": [[0, 0]],
+                                     "depth": 177})
+        assert main(["--config", path, "--command", "chain"]) == 0
+        last = json.loads(capsys.readouterr().out)["entries"][-1]
+        assert last["gamma"] == "176" and parse_dec(last["a"]) == p ** 176
+        assert len(last["a"]) > sys.get_int_max_str_digits()
+        c = parse_dec(last["Q"][0])
+        assert c * c % p ** 176 == 2 and last["Q"][1] == "1"
+
+    def test_input_integer_beyond_str_digit_limit_exit1(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text('{"p": 2, "g": [1' + "0" * 4999 + '3, 0, 1]}')
+        start = time.perf_counter()
+        assert main(["--config", str(path), "--command", "chain"]) == 1
+        assert time.perf_counter() - start < 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed-input"
+        assert f"{sys.get_int_max_str_digits()} digits" in out["message"]
+
+    def test_depth_above_bound_exit1_at_once(self, tmp_path, capsys):
+        path = self.write(tmp_path, {**EXC, "depth": MAX_DEPTH + 1})
+        start = time.perf_counter()
+        assert main(["--config", path, "--command", "chain"]) == 1
+        assert time.perf_counter() - start < 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed-input" and "bound 256" in out["message"]
+
+    def test_depth_bound_is_inclusive(self, tmp_path, capsys):
+        assert MAX_DEPTH == 256
+        path = self.write(tmp_path, {**EXC, "depth": MAX_DEPTH})
+        assert main(["--config", path, "--command", "chain"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["validation_passed"] and len(out["entries"]) == MAX_DEPTH
 
     @pytest.mark.parametrize("g", [[3.0, 0, 1], [3.5, 0, 1]])
     def test_json_float_exit1(self, tmp_path, capsys, g):

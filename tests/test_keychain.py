@@ -6,7 +6,8 @@ import pytest
 
 from valring.algebra import INF, UniPoly, ValuedFieldCtx, nu_oracle, resultant
 from valring.errors import (AmbiguousBranch, InsufficientDepth, MalformedInput,
-                            RamifiedBranch, UnsupportedNormalization)
+                            OracleUnavailable, RamifiedBranch,
+                            UnsupportedNormalization)
 from valring.expandval import s_set
 from valring.keychain import (IMAX, build_chain, gauss_start, newton_polygon,
                               residual_poly, segment, strongly_monic, validate,
@@ -307,3 +308,39 @@ class TestOracleEntryPoints:
             assert replace(chain).nu(h) == want      # cold cache
             assert chain.nu(h) == want               # warm cache
         assert chain.cache()["hensel_root"].precision > desc.seed.precision
+
+    def test_chain_nu_is_memoized_per_chain(self, monkeypatch):
+        import valring.keychain as kc
+        calls = []
+        real = kc.nu_oracle
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(kc, "nu_oracle", counted)
+        chain = build_chain(CTX2, GC, BRANCH_C, depth=4)
+        hs = [UniPoly((-75, 1)), UniPoly((3, 0, 1)), UniPoly((Fraction(1, 4), 1))]
+        first = [chain.nu(h) for h in hs]
+        assert [chain.nu(UniPoly(h.coeffs)) for h in hs] == first
+        assert calls == hs
+        assert replace(chain).nu(hs[0]) == first[0] and len(calls) == 4
+
+    def test_oracle_refusal_is_not_memoized(self, monkeypatch):
+        import valring.keychain as kc
+        calls = []
+        real = kc.nu_oracle
+
+        def refuse_once(*args):
+            calls.append(args[3])
+            if len(calls) == 1:
+                raise OracleUnavailable("refused once")
+            return real(*args)
+
+        monkeypatch.setattr(kc, "nu_oracle", refuse_once)
+        chain = build_chain(CTX2, GA)
+        h = UniPoly((1, 1))
+        with pytest.raises(OracleUnavailable):
+            chain.nu(h)
+        assert chain.nu(h) == real(CTX2, GA, chain.branch_descriptor(), h)
+        assert len(calls) == 2

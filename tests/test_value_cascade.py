@@ -1,0 +1,221 @@
+"""The integer value cascade against the UniPoly cascade it replaced.
+
+The reference functions below are the evaluator as it ran on `UniPoly`
+expansion digits (every digit built over its reduced denominator and valued
+at constants as v(numerator) - v(denominator)).  `value_below`, `truncate`
+and `s_set` on both routes must agree with them on the worked chains (full
+and collapsed), the six deep branches of the benchmark and a seeded sample
+of random generators.  Each augmentation step hands g's expansion in the new
+key to the chain it builds; that cache must equal a fresh expansion.
+"""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
+from functools import cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from valring.algebra import (INF, UniPoly, ValuedFieldCtx, _iexpand, _intval,
+                             is_finite, qexpand)
+from valring.errors import MalformedInput, MathRejection, OracleUnavailable
+from valring.expandval import ORACLE, RECURSIVE, SSet, s_set, truncate
+from valring.keychain import _g_expansion, build_chain, collapse
+
+from conftest import BRANCH_C, CTX2, GA, GB, GC, GD
+
+# -- the reference: the cascade on UniPoly digits ------------------------------
+
+
+def ref_value_below(chain, k, f):
+    if f.is_zero:
+        return INF
+    if k < 0 or f.degree == 0:
+        assert f.degree <= 0
+        p = chain.ctx.p
+        return _intval(p, f.nums[0]) - _intval(p, f.den)
+    ent = chain.entries[k]
+    if not is_finite(ent.gamma) or f.degree < ent.Q.degree:
+        return ref_value_below(chain, k - 1, f)
+    return min(ref_value_below(chain, k - 1, fj) + j * ent.gamma
+               for j, fj in enumerate(qexpand(f, ent.Q)) if not fj.is_zero)
+
+
+def ref_line(chain, i, f, method):
+    ent = chain.entry(i)
+    top = len(chain.entries) - 1
+    out = {}
+    for j, fj in enumerate(qexpand(f, ent.Q)):
+        if fj.is_zero:
+            continue
+        if method == RECURSIVE or fj.degree == 0:
+            v = ref_value_below(chain, top, fj)
+        else:
+            v = chain.nu(fj).value
+        out[j] = v + j * ent.gamma
+    return out
+
+
+def ref_truncate(chain, i, f, method):
+    return min(ref_line(chain, i, f, method).values(), default=INF)
+
+
+def ref_s_set(chain, i, f, method):
+    vals = ref_line(chain, i, f, method)
+    m = min(vals.values())
+    return SSet(i, tuple(sorted(j for j, v in vals.items() if v == m)))
+
+
+# -- the chains ------------------------------------------------------------------
+
+DEEP = (  # the benchmark's deep workload: three generators, two branches each
+    (2, (7, 0, 1), 24, ([[0, 0]], [[1, 0]])),
+    (3, (2, 0, 1), 16, ([[0, 0]], [[0, 1]])),
+    (5, (1, 0, 1), 16, ([[0, 0]], [[0, 1]])),
+)
+
+
+def _fuzz_chains(n=12):
+    """Chains of seeded random monic generators, as in test_fuzz."""
+    rng = random.Random(20261019)
+    out = []
+    while len(out) < n:
+        p = rng.choice((2, 3, 5, 7))
+        deg = rng.choice([d for d in range(2, 5) if p ** d <= 7 ** 4])
+        c0 = 0
+        while c0 % p == 0:
+            c0 = rng.randrange(-p * p, p * p + 1)
+        g = UniPoly([c0] + [rng.randrange(-p * p, p * p + 1) for _ in range(deg - 1)] + [1])
+        try:
+            out.append((f"fuzz{len(out)}", build_chain(ValuedFieldCtx(p), g, [[0, 0]] * 8, 8)))
+        except (MathRejection, MalformedInput):
+            continue
+    return out
+
+
+@cache
+def chains():
+    named = [("A", build_chain(CTX2, GA)), ("B", build_chain(CTX2, GB)),
+             ("C", build_chain(CTX2, GC, BRANCH_C, depth=4)), ("D", build_chain(CTX2, GD))]
+    named += [(f"{name}-collapsed", collapse(chain)) for name, chain in named]
+    for p, g, depth, branches in DEEP:
+        for branch in branches:
+            named.append((f"deep-{p}-{branch}",
+                          build_chain(ValuedFieldCtx(p), UniPoly(g), branch, depth)))
+    return tuple(named + _fuzz_chains())
+
+
+def rationals(max_den=12):
+    return st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, max_den))
+
+
+def polys(max_deg=5):
+    return st.lists(rationals(), min_size=0, max_size=max_deg + 1).map(UniPoly)
+
+
+CHAIN_INDEX = st.integers(0, 10 ** 6)
+
+
+def _pick(index):
+    named = chains()
+    return named[index % len(named)]
+
+
+# -- value_below ------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(CHAIN_INDEX, polys())
+def test_value_below_matches_unipoly_cascade(index, f):
+    name, chain = _pick(index)
+    for k in range(-1 if f.degree <= 0 else 0, len(chain.entries)):
+        assert chain.value_below(k, f) == ref_value_below(chain, k, f), (name, k, f)
+
+
+def test_value_below_on_every_chain_and_level():
+    rng = random.Random(7)
+    for name, chain in chains():
+        for _ in range(8):
+            f = UniPoly([Fraction(rng.randrange(-999, 1000), rng.randrange(1, 40))
+                         for _ in range(chain.g.degree + 2)])
+            for k in range(len(chain.entries)):
+                assert chain.value_below(k, f) == ref_value_below(chain, k, f), (name, k, f)
+
+
+# -- truncate and s_set, both routes ---------------------------------------------------
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the oracle's refusal (a complete chain with
+    branching choices, a truncated plateau of degree > 1)."""
+    try:
+        return fn(*args)
+    except OracleUnavailable as e:
+        return "oracle-unavailable", str(e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(CHAIN_INDEX, polys())
+def test_truncate_and_s_set_match_reference(index, f):
+    name, chain = _pick(index)
+    for i in chain.star_positions:
+        for method in (RECURSIVE, ORACLE):
+            args = (chain, i, f, method)
+            assert outcome(truncate, *args) == outcome(ref_truncate, *args), (name, i, method, f)
+            if not f.is_zero:
+                assert outcome(s_set, *args) == outcome(ref_s_set, *args), (name, i, method, f)
+
+
+# -- one g-expansion per augmentation step ------------------------------------------
+
+def _fresh(chain):
+    top = chain.entries[-1]
+    exp = qexpand(chain.g, top.Q)
+    return exp, chain.line(len(chain.entries) - 2, exp, top.gamma)
+
+
+@pytest.mark.parametrize("depth", [2, 3, 6])
+def test_prefix_chains_carry_their_g_expansion(depth):
+    for p, g, _, branches in DEEP:
+        for branch in branches:
+            chain = build_chain(ValuedFieldCtx(p), UniPoly(g), branch, depth)
+            assert not chain.complete
+            assert chain.cache()["g_expansion"] == _fresh(chain)
+
+
+def test_every_full_prefix_chain_carries_its_g_expansion():
+    for name, chain in chains():
+        if chain.mode == "full" and not chain.complete:
+            assert chain.cache()["g_expansion"] == _fresh(chain), name
+
+
+def test_g_expansion_computed_on_a_miss():
+    # a complete chain is never augmented, so its last step seeds nothing; a
+    # collapsed chain and a copy start with an empty cache
+    for name, chain in chains():
+        if chain.complete:
+            assert "g_expansion" not in chain.cache(), name
+            continue
+        for cold in (collapse(chain), replace(chain)):
+            assert "g_expansion" not in cold.cache(), name
+            assert _g_expansion(cold) == _fresh(cold), name
+            assert cold.cache()["g_expansion"] == _fresh(cold), name
+
+
+# -- the integer expansion ---------------------------------------------------------
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(-10 ** 9, 10 ** 9), max_size=12),
+       st.lists(st.integers(-10 ** 4, 10 ** 4), min_size=1, max_size=4))
+def test_iexpand_reconstructs(nums, low):
+    while nums and not nums[-1]:
+        nums.pop()
+    q = UniPoly(low + [1])
+    digits = _iexpand(nums, q.nums)
+    assert all(not d or d[-1] for d in digits)
+    assert all(len(d) < len(q.nums) for d in digits)
+    back = UniPoly()
+    for j, d in enumerate(digits):
+        back = back + UniPoly(d) * q ** j
+    assert back == UniPoly(nums)
+    assert tuple(UniPoly(d) for d in digits) == qexpand(UniPoly(nums), q)
