@@ -291,7 +291,7 @@ class UniPoly(_QPoly):
     __slots__ = ()
 
     def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _as_fraction(c) for c in coeffs]
         # lowest-terms coefficients over the lcm of their denominators have
         # content coprime to it
         den = lcm(*(c.denominator for c in cs))
@@ -684,6 +684,12 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
 # Small finite fields F_{p^k}, flat over F_p
 # ---------------------------------------------------------------------------
 
+# Fields of more elements than this find roots and test irreducibility by
+# factoring rather than by enumerating elements or divisors: the measured
+# crossover of the two routes' `extend_by` times (see CHANGES.md)
+_ENUM_LIMIT = 4096
+
+
 def _digits(n: int, p: int, k: int) -> tuple:
     """The k base-p digits of n, least significant first."""
     out = []
@@ -953,6 +959,9 @@ class ResidueField:
             return False
         if d == 1:
             return True
+        if self.q > _ENUM_LIMIT:
+            fac = self.factor_monic(f)
+            return len(fac) == 1 and len(fac[0][0]) == len(f)  # one factor, multiplicity 1
         for e in range(1, d // 2 + 1):
             for g in self.monic_polys(e):
                 if not self.poly_divmod(f, g)[1]:
@@ -1074,6 +1083,10 @@ def _embed_generator(small: ResidueField, big: ResidueField):
 
 
 def _first_root(field: ResidueField, poly):
+    """The smallest root of poly in field, or None."""
+    if field.q > _ENUM_LIMIT:
+        return min((field.neg(fac[0]) for fac, _ in field.factor_monic(poly)
+                    if len(fac) == 2), default=None)
     for a in field.elements():
         if not field.poly_eval(poly, a):
             return a

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .algebra import INF, UniPoly, _iexpand, _intval, is_finite, pval
+from .algebra import INF, UniPoly, _iexpand, _intval, is_finite
 from .errors import InsufficientDepth, MalformedInput
 from .keychain import KeyChain, segment
-from .xpoly import XPoly, monom
+from .xpoly import XPoly, monom, mu0
 
 ORACLE = "oracle"
 RECURSIVE = "recursive"
@@ -72,12 +73,17 @@ class FullExpansion:
     position per plateau degree."""
 
     anchor: int
-    terms: tuple          # ((coeff, monom), ...) canonically sorted
+    poly: XPoly           # sum b_j X^(lambda_j)
     nu_value: object
     index_tuple: tuple    # appearing positions, decreasing
 
+    @property
+    def terms(self) -> tuple:
+        """((Fraction coeff, monom), ...) sorted by monomial."""
+        return tuple(sorted(((c, m) for m, c in self.poly.terms.items()), key=lambda cm: cm[1]))
+
     def as_xpoly(self) -> XPoly:
-        return XPoly({m: c for c, m in self.terms})
+        return self.poly
 
     def evaluate(self, chain: KeyChain) -> UniPoly:
         return chain.evaluate(self.as_xpoly())
@@ -117,16 +123,16 @@ def _cascade(chain: KeyChain, pending, k: int):
 
 
 def _assemble(chain: KeyChain, anchor: int, pending) -> FullExpansion:
-    """Collect constant (coefficient, exponent map) pairs into an expansion."""
-    terms = {}
+    """Collect constant (coefficient, exponent map) pairs into an expansion:
+    their numerators summed over the lcm of their denominators."""
+    den = lcm(*(c.den for c, _ in pending))
+    nums = {}
     for c, mono in pending:
         m = monom(mono)
-        terms[m] = terms.get(m, Fraction(0)) + c.coeff(0)
-    items = tuple(sorted(((c, m) for m, c in terms.items() if c != 0),
-                         key=lambda cm: cm[1]))
-    nu_val = min(pval(chain.ctx, c) for c, _ in items)
-    appearing = sorted({k for _, m in items for k, e in m if e > 0}, reverse=True)
-    return FullExpansion(anchor, items, nu_val, tuple(appearing))
+        nums[m] = nums.get(m, 0) + c.nums[0] * (den // c.den)
+    poly = XPoly._make(nums, den)
+    appearing = sorted({k for m in poly.nums for k, _ in m}, reverse=True)
+    return FullExpansion(anchor, poly, mu0(chain.ctx, poly), tuple(appearing))
 
 
 def full_expansion(chain: KeyChain, i: int, f: UniPoly) -> FullExpansion:
@@ -165,7 +171,7 @@ def check_conditions(chain: KeyChain, exp: FullExpansion, f: UniPoly) -> dict:
     seg = segment(chain)
     ok1 = exp.nu_value == truncate(chain, exp.anchor, f)
     ok2 = True
-    for _, m in exp.terms:
+    for m in exp.poly.nums:
         for k, e in m:
             if k == exp.anchor:
                 continue

@@ -34,7 +34,6 @@ from .algebra import (
     hensel_root,
     is_finite,
     nu_oracle,
-    pval,
     qexpand,
 )
 from .errors import (
@@ -61,19 +60,16 @@ class ChainEntry:
     position: int
     Q: UniPoly
     gamma: object            # int, Fraction (synthetic only) or INF
-    a: Fraction | None       # p**gamma for finite gamma, None at i_max
+    a: int | Fraction | None  # p**gamma for finite gamma, None at i_max
     Qt: UniPoly              # Q / a (Q itself at i_max)
     res_field: ResidueField | None = None   # field containing z
     z: int | None = None                    # residue of Qt(eta); None until known
     emb_prev: int | None = None             # image of previous entry's field generator
 
 
-def _entry(ctx: ValuedFieldCtx, position: int, Q: UniPoly, gamma,
-           res_field=None, z=None, emb_prev=None) -> ChainEntry:
-    if gamma is INF:
-        return ChainEntry(position, Q, INF, None, Q, res_field, z, emb_prev)
-    a = Fraction(ctx.p) ** gamma
-    return ChainEntry(position, Q, gamma, a, Q / a, res_field, z, emb_prev)
+def _entry(ctx: ValuedFieldCtx, position: int, Q: UniPoly, gamma: int) -> ChainEntry:
+    a = ctx.p ** gamma
+    return ChainEntry(position, Q, gamma, a, UniPoly._make(list(Q.nums), Q.den * a))
 
 
 @dataclass(frozen=True)
@@ -131,13 +127,6 @@ class KeyChain:
         if n > 1:
             raise AssertionError("nonconstant reached the base of the evaluator")
         return _intval(self.ctx.p, nums[0])
-
-    def line(self, k: int, exp, gamma) -> dict:
-        """{j: value_below(k, f_j) + j*gamma} over the nonzero terms of an
-        expansion (f_0, f_1, ...): the points of its Newton polygon sheared
-        by gamma."""
-        return {j: self.value_below(k, fj) + j * gamma
-                for j, fj in enumerate(exp) if not fj.is_zero}
 
     def resval(self, k: int, f: UniPoly):
         """(value, residue, field) of f from entries 0..k; the residue of
@@ -264,7 +253,9 @@ def newton_polygon(chain: KeyChain, i: int, f: UniPoly) -> NewtonPolygon:
         raise MalformedInput("polygon needs a position of finite value")
     if f.is_zero:
         raise MalformedInput("polygon of the zero polynomial")
-    pts = list(chain.line(i - 1, qexpand(f, ent.Q), 0).items())
+    digits = _iexpand(f.nums, ent.Q.nums)
+    vden = _intval(chain.ctx.p, f.den)
+    pts = [(j, chain.ivalue(i - 1, d) - vden) for j, d in enumerate(digits) if d]
     if len(pts) == 1:
         return NewtonPolygon((pts[0],), (pts[0],), ())
     corners = _lower_hull(pts)
@@ -302,29 +293,32 @@ def residual_poly(chain: KeyChain, i: int, f: UniPoly, slope):
         raise RamifiedBranch(f"fractional slope {slope}: e = 1 fails on this branch")
     t = int(t)
     line = {j: v + t * j for j, v in poly.points}
-    return _segment_residual(chain, i, qexpand(f, chain.entry(i).Q), line, t)
+    digits = _iexpand(f.nums, chain.entry(i).Q.nums)
+    return _segment_residual(chain, i, digits, f.den, line, t)
 
 
-def _segment_residual(chain: KeyChain, i: int, exp, line: dict, t: int):
+def _segment_residual(chain: KeyChain, i: int, digits, den: int, line: dict, t: int):
     """Residual polynomial along the segment of slope -t of a Q_i-expansion.
 
-    exp is the expansion (f_0, f_1, ...) and line[j] = nu(f_j) + t*j, an
-    integer, for every nonzero f_j; the segment joins the indices where
-    line attains its minimum m, and each f_j p^(t*j - m) there normalizes
-    to a unit whose residue is the coefficient.
+    The expansion's digits are f_j = digits[j] / den, and line[j] =
+    nu(f_j) + t*j, an integer, for every nonzero f_j; the segment joins the
+    indices where line attains its minimum m, and each f_j p^(t*j - m)
+    there normalizes to a unit whose residue is the coefficient.
     """
     m = min(line.values())
     on_line = [j for j, v in line.items() if v == m]
     if len(on_line) < 2:
         raise AssertionError("minimal value attained once; chain data inconsistent")
     fld = _stage_field_below(chain, i)
-    p = Fraction(chain.ctx.p)
+    p = chain.ctx.p
     coeffs = []
     for j in range(min(on_line), max(on_line) + 1):
         if line.get(j) != m:
             coeffs.append(fld.zero)
             continue
-        v, r, sub = chain.resval(i - 1, exp[j] * p ** (t * j - m))
+        e = t * j - m  # f_j p^e: scale the numerators for e >= 0, den otherwise
+        fj = UniPoly._make([c * p ** max(e, 0) for c in digits[j]], den * p ** max(-e, 0))
+        v, r, sub = chain.resval(i - 1, fj)
         if v != 0:
             raise AssertionError("segment term does not normalize to a unit")
         if sub != fld:
@@ -356,7 +350,7 @@ def gauss_start(ctx: ValuedFieldCtx, g: UniPoly) -> KeyChain:
         raise UnsupportedNormalization("generator must be monic nonconstant")
     if not g.is_integral:
         raise UnsupportedNormalization("generator must have integral coefficients")
-    if pval(ctx, g.coeffs[0]) != 0:
+    if _intval(ctx.p, g.nums[0]) != 0:
         raise UnsupportedNormalization(
             "v(g(0)) != 0: rescale the generator so every root is a unit")
     # g integral and monic with v(g(0)) = 0 has a flat Newton polygon
@@ -365,17 +359,18 @@ def gauss_start(ctx: ValuedFieldCtx, g: UniPoly) -> KeyChain:
 
 
 def _g_expansion(chain: KeyChain):
-    """(exp, line) for the top key Q: the Q-expansion of g and its value line
-    `line(top - 1, exp, nu(Q))`.  The step that built Q computed both and
-    seeded them into the chain's cache; on a miss (the Gauss chain, a
-    collapsed chain, a copy) they are computed and cached here."""
+    """(digits, line) for the top key Q: the Q-expansion of g as int lists
+    and its value line {j: ivalue(top - 1, g_j) + j*nu(Q)}.  The step that
+    built Q seeded both into the chain's cache; on a miss (the Gauss chain,
+    a collapsed chain, a copy) they are computed and cached here."""
     cache = chain.cache()
     got = cache.get("g_expansion")
     if got is None:
         top = chain.entries[-1]
-        exp = qexpand(chain.g, top.Q)
-        got = cache["g_expansion"] = (
-            exp, chain.line(len(chain.entries) - 2, exp, top.gamma))
+        k = len(chain.entries) - 2
+        digits = _iexpand(chain.g.nums, top.Q.nums)
+        got = cache["g_expansion"] = (digits, {
+            j: chain.ivalue(k, d) + j * top.gamma for j, d in enumerate(digits) if d})
     return got
 
 
@@ -387,10 +382,6 @@ class BranchPoint:
     factor_pick: int
     slope_options: tuple
     slope_pick: int
-
-    @property
-    def forced(self) -> bool:
-        return len(self.factor_options) <= 1 and len(self.slope_options) <= 1
 
 
 def _refine_key(chain: KeyChain, root, fld: ResidueField) -> UniPoly:
@@ -410,9 +401,8 @@ def _refine_key(chain: KeyChain, root, fld: ResidueField) -> UniPoly:
         # factor y - root, i.e. x - c with c = -(p - zhat) reduced: x + lift
         c_new = -((p - zhat) % p)
     else:
-        modulus = p ** (gamma + 1)
-        c_new = (int(c_prev) + zhat * p ** gamma) % modulus
-    return UniPoly((-c_new, 1))
+        c_new = (c_prev + zhat * p ** gamma) % p ** (gamma + 1)
+    return UniPoly._raw((-c_new, 1), 1)
 
 
 def _jump_key(chain: KeyChain, phi, fld: ResidueField) -> UniPoly:
@@ -430,29 +420,31 @@ def _jump_key(chain: KeyChain, phi, fld: ResidueField) -> UniPoly:
         ck = c % p
         if ck == 0:
             continue
-        out = out + top.Q ** k * (ck * Fraction(p) ** ((d - k) * gamma))
+        out = out + top.Q ** k * (ck * p ** ((d - k) * gamma))
     return out
 
 
 def _admissible_slopes(chain: KeyChain, cand: UniPoly):
     """Slopes -t of the candidate's polygon with t above the current
     truncation value of the candidate; these are the possible values
-    nu(candidate) across branches through the current stage.  Also returns
-    the candidate-expansion of g and its points (j, value_below(f_j))."""
+    nu(candidate) across branches through the current stage (an int t unless
+    the hull step does not divide).  Also returns the candidate-expansion of
+    g as int lists and its points {j: ivalue(k, g_j)}."""
     k = len(chain.entries) - 1
-    threshold = chain.value_below(k, cand)
-    exp = qexpand(chain.g, cand)
-    pts = chain.line(k, exp, 0)
+    threshold = chain.ivalue(k, cand.nums)
+    digits = _iexpand(chain.g.nums, cand.nums)
+    pts = {j: chain.ivalue(k, d) for j, d in enumerate(digits) if d}
     if 0 not in pts:
         raise MalformedInput("candidate key divides g; g is reducible")
     hull = _lower_hull(pts.items())
     slopes = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        t = -Fraction(y2 - y1, x2 - x1)
+        t, r = divmod(y1 - y2, x2 - x1)
+        t = Fraction(y1 - y2, x2 - x1) if r else t
         if t > threshold:
             slopes.append(t)
     slopes.sort(reverse=True)  # hull order: steepest (largest t) first
-    return slopes, exp, pts
+    return slopes, digits, pts
 
 
 def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
@@ -465,12 +457,12 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
         raise MalformedInput("chain already complete")
     top = chain.entries[-1]
     step = len(chain.entries) - 1
-    exp, line = _g_expansion(chain)
+    digits, line = _g_expansion(chain)
     gamma = int(top.gamma)
     if 0 not in line:
         raise MalformedInput("generator is divisible by a key polynomial; g is reducible")
     # the minimal segment of g's polygon has slope -gamma
-    coeffs, fld = _segment_residual(chain, step, exp, line, gamma)
+    coeffs, fld = _segment_residual(chain, step, digits, 1, line, gamma)
     factors = [f for f, mult in fld.factor_monic(coeffs)]
     choiceful = len(factors) > 1
     if choiceful and branch_choice is None:
@@ -501,7 +493,7 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
                           emb_prev=_prev_emb(chain, fld, new_field))
     patched = KeyChain(chain.ctx, chain.g, chain.entries[:-1] + (patched_top,),
                        chain.status, chain.mode, chain.branch_log)
-    slopes, cand_exp, pts = _admissible_slopes(patched, cand)
+    slopes, cand_digits, pts = _admissible_slopes(patched, cand)
     if not slopes:
         raise AssertionError("no admissible slope for a freshly built key")
     choiceful = choiceful or len(slopes) > 1
@@ -522,7 +514,7 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     out = KeyChain(chain.ctx, chain.g, patched.entries + (new_entry,),
                    chain.status, chain.mode, log)
     out.cache()["g_expansion"] = (
-        cand_exp, {j: v + j * gamma_new for j, v in pts.items()})
+        cand_digits, {j: v + j * gamma_new for j, v in pts.items()})
     return out
 
 
@@ -712,10 +704,11 @@ def strongly_monic(chain: KeyChain, ell, i: int):
     Q_i-expansion is monic and its top index r attains the minimum of the
     value line.  The witness holds r, the monic flag and the line."""
     ql = chain.g if ell == IMAX else chain.entries[ell].Q
-    exp = qexpand(ql, chain.entries[i].Q)
-    r = len(exp) - 1
-    monic = exp[r] == UniPoly((1,))
-    vals = chain.line(i - 1, exp, chain.entries[i].gamma)
+    ent = chain.entries[i]
+    digits = _iexpand(ql.nums, ent.Q.nums)
+    r = len(digits) - 1
+    monic = digits[r] == [1]
+    vals = {j: chain.ivalue(i - 1, d) + j * ent.gamma for j, d in enumerate(digits) if d}
     passed = monic and vals.get(r) == min(vals.values())
     return passed, {"top_index": r, "monic": monic, "values": vals}
 

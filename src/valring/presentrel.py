@@ -72,8 +72,8 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
         exp = full_expansion(chain, i, chain.entries[ell].Qt)
         r = chain.entries[ell].Q.degree // chain.entries[i].Q.degree
         pure = ((i, r),)
-        b1 = dict((m, c) for c, m in exp.terms).get(pure)
-        if b1 is None:
+        b1 = Fraction(exp.poly.nums.get(pure, 0), exp.poly.den)
+        if not b1:
             raise AssertionError("pure power term missing despite strong monicity")
         if pval(chain.ctx, b1) != exp.nu_value:
             raise AssertionError("pure power term does not attain the minimum")

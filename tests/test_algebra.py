@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valring import algebra
 from valring.algebra import (
     INF,
     P_BOUND,
@@ -22,6 +23,7 @@ from valring.algebra import (
     pval,
     qexpand,
     resultant,
+    _first_root,
     _intval,
     _is_prime,
 )
@@ -511,6 +513,53 @@ class TestFactorMonic:
         start = time.perf_counter()
         assert f7.factor_monic(f) == [(f, 1)]
         assert time.perf_counter() - start < 0.5
+
+
+class TestSizeSwitch:
+    """Fields of more than `algebra._ENUM_LIMIT` elements find roots and test
+    irreducibility through `factor_monic`, smaller ones by enumeration.  With
+    the limit patched to 1 every field takes the first route, with infinity
+    the second, and the two must agree."""
+
+    @staticmethod
+    def _both(monkeypatch, compute):
+        out = []
+        for limit in (1, float("inf")):
+            monkeypatch.setattr(algebra, "_ENUM_LIMIT", limit)
+            out.append(compute())
+        return out
+
+    @pytest.mark.parametrize("p, k, max_deg", FIELDS)
+    def test_routes_agree(self, p, k, max_deg, monkeypatch):
+        fld = ResidueField.of_degree(p, k)
+        rng = random.Random(31 * p + k)
+        polys = [_random_product(fld, rng, rng.randint(1, 3), max_deg) for _ in range(15)]
+        polys += [tuple(rng.randrange(fld.q) for _ in range(d)) + (1,)
+                  for d in (1, 2, 2, 3, 3, 4) for _ in range(5)]
+        polys.append((rng.randrange(1, fld.q),))  # a nonzero constant
+        by_factor, by_enum = self._both(monkeypatch, lambda: (
+            [_first_root(fld, f) for f in polys],
+            [fld._poly_irreducible(f) for f in polys]))
+        assert by_factor == by_enum
+        roots, irred = by_enum
+        assert None in roots and any(r is not None for r in roots)
+        assert True in irred and False in irred
+        for f, r in zip(polys, roots):
+            assert (r is None) == all(fld.poly_eval(f, a) for a in fld.elements())
+
+    @pytest.mark.parametrize("p, k, max_deg", FIELDS)
+    def test_extensions_agree(self, p, k, max_deg, monkeypatch):
+        fld = ResidueField.of_degree(p, k)
+        rng = random.Random(17 * p + k)
+        phis = []
+        while len(phis) < 3:
+            f = tuple(rng.randrange(fld.q) for _ in range(rng.randint(2, 3))) + (1,)
+            if fld._poly_irreducible(f):
+                phis.append(f)
+        by_factor, by_enum = self._both(monkeypatch, lambda: [
+            (big.modulus, gen, root)
+            for big, gen, root in (fld.extend_by(phi) for phi in phis)])
+        assert by_factor == by_enum
 
 
 class TestIntElementsMatchTupleReference:

@@ -336,6 +336,30 @@ class TestMainExitCodes:
         assert time.perf_counter() - start < 2
         assert "error" not in json.loads(capsys.readouterr().out)
 
+    # both need a residue-field extension of degree 2 over F_p, which
+    # enumeration of its p^2 elements would not finish
+    BIG_RAMIFIED = {"p": 1000000007, "g": [1000000016, 0, 6, 0, 1]}
+    BIG_EXTENDED = {"p": 1000000007, "g": [4000000084000000588000001399,
+                                           1000000021000000147000000343, 27, 0, 9, 0, 1]}
+
+    @pytest.mark.parametrize("command, doc, code", [
+        ("chain", BIG_RAMIFIED, 2),
+        ("chain", BIG_EXTENDED, 0),
+        ("check", BIG_EXTENDED, 0),
+    ])
+    def test_large_prime_extension_finishes(self, tmp_path, capsys, command, doc, code):
+        path = self.write(tmp_path, doc)
+        start = time.perf_counter()
+        assert main(["--config", path, "--command", command]) == code
+        assert time.perf_counter() - start < 2
+        out = json.loads(capsys.readouterr().out)
+        if code:
+            assert out["error"] == "ramified-branch"
+        else:
+            assert out["validation_passed"] and "error" not in out
+        if command == "check":
+            assert out["relations_passed"]
+
     @pytest.mark.parametrize("command", ["member", "reduce", "build"])
     def test_huge_exponent_exit1_at_once(self, tmp_path, capsys, command):
         doc = {**EXA, "payload": {"xpoly": [{"c": 1, "e": {"0": 100000000}}], "s": 0}}
