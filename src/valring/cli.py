@@ -39,6 +39,9 @@ MAX_IMAGE_DEGREE = 256
 MAX_DEPTH = 256
 
 _DECIMAL_INT = re.compile(r"-?[0-9]+")
+# Fraction's decimal and exponent forms: "<whole>.<frac>e<exp>" is the int
+# of the digits of whole and frac times 10^exp over 10^len(frac)
+_DECIMAL_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
 
 
 # -- scalar and polynomial text formats --------------------------------------
@@ -76,11 +79,27 @@ def parse_value(s):
         raise MalformedInput(
             f"JSON float {s!r} is not exact: write it as an integer or a string")
     try:
-        if isinstance(s, str) and _DECIMAL_INT.fullmatch(s):
-            return int(s)
+        if isinstance(s, str):
+            if _DECIMAL_INT.fullmatch(s):
+                return int(s)
+            _check_digit_bound(s)
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedInput(f"bad rational {s!r}: {e}")
+
+
+def _check_digit_bound(s: str) -> None:
+    """Refuse a decimal or exponent form, before Fraction computes its power
+    of ten, whose numerator or denominator could pass the int-string digit
+    limit: the mantissa's digits (an empty whole part counts as one) plus
+    the exponent's magnitude bound the digits of both."""
+    m = _DECIMAL_FORM.fullmatch(s)
+    limit = sys.get_int_max_str_digits()
+    if m and limit:
+        whole, frac, exp = m.groups()
+        digits = max(len(whole.replace("_", "")), 1) + len((frac or "").replace("_", ""))
+        if digits + abs(int(exp or 0)) > limit:
+            raise MalformedInput(f"scalar {s!r} exceeds the limit of {limit} digits")
 
 
 def _parse_index(x, what: str, least: int = 0) -> int:
@@ -186,6 +205,8 @@ def deserialize(text: str):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedInput(f"parse error at line {e.lineno} column {e.colno}: {e.msg}")
+    except RecursionError:
+        raise MalformedInput("JSON nested too deeply") from None
     except ValueError:
         # json reads integer literals with int(), which refuses long ones
         raise MalformedInput("an integer literal exceeds the limit of "
@@ -422,6 +443,14 @@ def check_doc(chain: KeyChain, config: JobConfig) -> dict:
     }
 
 
+def _read_config(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise MalformedInput(f"cannot read config: {e}") from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(prog="valring")
     ap.add_argument("--config", required=True)
@@ -431,9 +460,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int)
     args = ap.parse_args(argv)
     try:
-        with open(args.config) as fh:
-            doc = deserialize(fh.read())
-        config = JobConfig(doc)
+        config = JobConfig(deserialize(_read_config(args.config)))
         if args.seed is not None:
             config.seed = args.seed
         out = run(args.command, config, trace=args.trace)
@@ -445,9 +472,6 @@ def main(argv=None) -> int:
     except MathRejection as e:
         text = serialize({"error": e.reason, "message": str(e)})
         status = 2
-    except FileNotFoundError as e:
-        text = serialize({"error": "malformed-input", "message": str(e)})
-        status = 1
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

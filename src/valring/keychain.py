@@ -27,7 +27,6 @@ from .algebra import (
     ResidueField,
     UniPoly,
     ValuedFieldCtx,
-    _embed_generator,
     _embedded,
     _iexpand,
     _intval,
@@ -59,8 +58,8 @@ class ChainEntry:
 
     position: int
     Q: UniPoly
-    gamma: object            # int, Fraction (synthetic only) or INF
-    a: int | Fraction | None  # p**gamma for finite gamma, None at i_max
+    gamma: object            # int, or INF at i_max
+    a: int | None            # p**gamma, None at i_max
     Qt: UniPoly              # Q / a (Q itself at i_max)
     res_field: ResidueField | None = None   # field containing z
     z: int | None = None                    # residue of Qt(eta); None until known
@@ -128,41 +127,40 @@ class KeyChain:
             raise AssertionError("nonconstant reached the base of the evaluator")
         return _intval(self.ctx.p, nums[0])
 
-    def resval(self, k: int, f: UniPoly):
-        """(value, residue, field) of f from entries 0..k; the residue of
-        f(eta)/p^value lives in the returned field (F_p for a constant f or
-        k < 0, else the stage field of entry k) and is nonzero on the
-        evaluator's exactness domain."""
-        if f.is_zero:
-            raise ValueError("resval of zero")
-        if k < 0 or f.degree == 0:
-            p = self.ctx.p
-            n, d = f.nums[0], f.den
-            vn, vd = _intval(p, n), _intval(p, d)
+    def value_line(self, k: int, digits, gamma) -> dict:
+        """{j: ivalue(k, d_j) + j*gamma} over the nonzero int digits d_j of
+        an expansion in a key of value gamma: the points of its Newton
+        polygon, raised along slope -gamma."""
+        return {j: self.ivalue(k, d) + j * gamma for j, d in enumerate(digits) if d}
+
+    def resval(self, k: int, nums, den: int = 1):
+        """(value, residue, field) of the polynomial f with numerator list
+        nums over den, from entries 0..k.  The residue of f(eta)/p^value is
+        z_k^l R(z_k), R the residual polynomial of f's Q_k-expansion along
+        its minimal segment (slope -gamma_k, first index l), in the stage
+        field of entry k; F_p for a constant f or k < 0.  It is nonzero on
+        the evaluator's exactness domain."""
+        p = self.ctx.p
+        if k < 0 or len(nums) == 1:
+            n = nums[0]
+            vn, vd = _intval(p, n), _intval(p, den)
             fp = self.ctx.residue_field
-            return vn - vd, fp.from_int(n // p ** vn * pow(d // p ** vd, -1, p)), fp
+            return vn - vd, fp.from_int(n // p ** vn * pow(den // p ** vd, -1, p)), fp
         ent = self.entries[k]
         if ent.z is None or ent.res_field is None:
             raise AssertionError(f"residue data missing at position {k}")
-        fld = ent.res_field
-        pairs = []
-        best = INF
-        for j, fj in enumerate(self.qt_expansion(k, f)):
-            if fj.is_zero:
-                continue
-            v, r, sub = self.resval(k - 1, fj)
-            pairs.append((j, v, r, sub))
-            if v < best:
-                best = v
+        digits = _iexpand(nums, ent.Q.nums)
+        line = self.value_line(k - 1, digits, ent.gamma)
+        low, coeffs, sub = _residual(self, k, digits, den, line)
+        fld, z = ent.res_field, ent.z
         res = fld.zero
-        for j, v, r, sub in pairs:
-            if v != best:
-                continue
-            rbig = _embedded(sub, fld, ent.emb_prev, r) if sub != fld else r
-            res = fld.add(res, fld.mul(rbig, fld.pow(ent.z, j)))
+        for c in reversed(coeffs):
+            c = c if sub == fld else _embedded(sub, fld, ent.emb_prev, c)
+            res = fld.add(fld.mul(res, z), c)
+        res = fld.mul(res, fld.pow(z, low))
         if fld.is_zero(res):
             raise AssertionError("vanishing residue: evaluator used outside its domain")
-        return best, res, fld
+        return min(line.values()) - _intval(p, den), res, fld
 
     def qt_expansion(self, k: int, f: UniPoly):
         """The Qt_k-expansion of f: digit j of the Q_k-expansion times
@@ -218,7 +216,7 @@ class KeyChain:
 
 @dataclass(frozen=True)
 class Segment:
-    slope: Fraction
+    slope: object       # an int, or a Fraction when the length does not divide the rise
     length: int         # horizontal extent
     multiplicity: int   # lattice subdivisions, gcd(length, |rise|)
 
@@ -230,10 +228,12 @@ class NewtonPolygon:
     segments: tuple   # merged hull edges by increasing slope
 
 
-def _lower_hull(points):
-    pts = sorted(points)
+def _polygon(points):
+    """The lower hull of the integer points: its corners left to right and
+    its edges as Segments by increasing slope.  Slopes are ints where they
+    can be, which keeps `Fraction` off the augmentation path."""
     hull = []
-    for pt in pts:
+    for pt in sorted(points):
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # strict right turn keeps only corners
@@ -242,7 +242,12 @@ def _lower_hull(points):
             else:
                 break
         hull.append(pt)
-    return hull
+    segments = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        t, r = divmod(y2 - y1, x2 - x1)
+        slope = Fraction(y2 - y1, x2 - x1) if r else t
+        segments.append(Segment(slope, x2 - x1, gcd(x2 - x1, y2 - y1)))
+    return hull, tuple(segments)
 
 
 def newton_polygon(chain: KeyChain, i: int, f: UniPoly) -> NewtonPolygon:
@@ -253,26 +258,19 @@ def newton_polygon(chain: KeyChain, i: int, f: UniPoly) -> NewtonPolygon:
         raise MalformedInput("polygon needs a position of finite value")
     if f.is_zero:
         raise MalformedInput("polygon of the zero polynomial")
-    digits = _iexpand(f.nums, ent.Q.nums)
     vden = _intval(chain.ctx.p, f.den)
-    pts = [(j, chain.ivalue(i - 1, d) - vden) for j, d in enumerate(digits) if d]
+    line = chain.value_line(i - 1, _iexpand(f.nums, ent.Q.nums), 0)
+    pts = [(j, v - vden) for j, v in line.items()]
     if len(pts) == 1:
         return NewtonPolygon((pts[0],), (pts[0],), ())
-    corners = _lower_hull(pts)
-    segments = []
-    for (x1, y1), (x2, y2) in zip(corners, corners[1:]):
-        slope = Fraction(y2 - y1, x2 - x1)
-        length = x2 - x1
-        rise = abs(y2 - y1)
-        mult = gcd(length, int(rise)) if rise == int(rise) else 1
-        segments.append(Segment(slope, length, mult))
+    corners, segments = _polygon(pts)
     on_hull = []
     for pt in pts:
         for (x1, y1), (x2, y2) in zip(corners, corners[1:]):
             if x1 <= pt[0] <= x2 and (pt[1] - y1) * (x2 - x1) == (pt[0] - x1) * (y2 - y1):
                 on_hull.append(pt)
                 break
-    return NewtonPolygon(tuple(pts), tuple(on_hull), tuple(segments))
+    return NewtonPolygon(tuple(pts), tuple(on_hull), segments)
 
 
 def residual_poly(chain: KeyChain, i: int, f: UniPoly, slope):
@@ -291,42 +289,33 @@ def residual_poly(chain: KeyChain, i: int, f: UniPoly, slope):
     t = -slope
     if t.denominator != 1:
         raise RamifiedBranch(f"fractional slope {slope}: e = 1 fails on this branch")
-    t = int(t)
-    line = {j: v + t * j for j, v in poly.points}
+    line = {j: v + int(t) * j for j, v in poly.points}
     digits = _iexpand(f.nums, chain.entry(i).Q.nums)
-    return _segment_residual(chain, i, digits, f.den, line, t)
+    return _residual(chain, i, digits, f.den, line)[1:]
 
 
-def _segment_residual(chain: KeyChain, i: int, digits, den: int, line: dict, t: int):
-    """Residual polynomial along the segment of slope -t of a Q_i-expansion.
+def _residual(chain: KeyChain, i: int, digits, den: int, line: dict):
+    """(first index, coefficients, field) of the residual polynomial of a
+    Q_i-expansion along the minimal segment of a value line.
 
-    The expansion's digits are f_j = digits[j] / den, and line[j] =
-    nu(f_j) + t*j, an integer, for every nonzero f_j; the segment joins the
-    indices where line attains its minimum m, and each f_j p^(t*j - m)
-    there normalizes to a unit whose residue is the coefficient.
+    The expansion's digits are f_j = digits[j] / den and line[j] is
+    nu(f_j) + t*j for every nonzero f_j, for an integer t; the segment
+    joins the indices where line is least, and there the coefficient is the
+    residue of f_j (`KeyChain.resval`), in the stage field below i.
     """
     m = min(line.values())
     on_line = [j for j, v in line.items() if v == m]
-    if len(on_line) < 2:
-        raise AssertionError("minimal value attained once; chain data inconsistent")
     fld = _stage_field_below(chain, i)
-    p = chain.ctx.p
     coeffs = []
-    for j in range(min(on_line), max(on_line) + 1):
+    for j in range(on_line[0], on_line[-1] + 1):
         if line.get(j) != m:
             coeffs.append(fld.zero)
             continue
-        e = t * j - m  # f_j p^e: scale the numerators for e >= 0, den otherwise
-        fj = UniPoly._make([c * p ** max(e, 0) for c in digits[j]], den * p ** max(-e, 0))
-        v, r, sub = chain.resval(i - 1, fj)
-        if v != 0:
-            raise AssertionError("segment term does not normalize to a unit")
-        if sub != fld:
-            # adjacent-stage embedding: entry i-1 carries the image of its
-            # predecessor's generator
-            r = _embedded(sub, fld, chain.entries[i - 1].emb_prev, r)
-        coeffs.append(r)
-    return tuple(coeffs), fld
+        _, r, sub = chain.resval(i - 1, digits[j], den)
+        # a constant digit's residue is in F_p; entry i-1 carries the image
+        # of its predecessor's generator
+        coeffs.append(r if sub == fld else _embedded(sub, fld, chain.entries[i - 1].emb_prev, r))
+    return on_line[0], tuple(coeffs), fld
 
 
 def _stage_field_below(chain: KeyChain, i: int) -> ResidueField:
@@ -369,8 +358,7 @@ def _g_expansion(chain: KeyChain):
         top = chain.entries[-1]
         k = len(chain.entries) - 2
         digits = _iexpand(chain.g.nums, top.Q.nums)
-        got = cache["g_expansion"] = (digits, {
-            j: chain.ivalue(k, d) + j * top.gamma for j, d in enumerate(digits) if d})
+        got = cache["g_expansion"] = (digits, chain.value_line(k, digits, top.gamma))
     return got
 
 
@@ -427,23 +415,17 @@ def _jump_key(chain: KeyChain, phi, fld: ResidueField) -> UniPoly:
 def _admissible_slopes(chain: KeyChain, cand: UniPoly):
     """Slopes -t of the candidate's polygon with t above the current
     truncation value of the candidate; these are the possible values
-    nu(candidate) across branches through the current stage (an int t unless
-    the hull step does not divide).  Also returns the candidate-expansion of
-    g as int lists and its points {j: ivalue(k, g_j)}."""
+    nu(candidate) across branches through the current stage, steepest (largest
+    t) first (an int t unless the hull step does not divide).  Also returns
+    the candidate-expansion of g as int lists and its points
+    {j: ivalue(k, g_j)}."""
     k = len(chain.entries) - 1
     threshold = chain.ivalue(k, cand.nums)
     digits = _iexpand(chain.g.nums, cand.nums)
-    pts = {j: chain.ivalue(k, d) for j, d in enumerate(digits) if d}
+    pts = chain.value_line(k, digits, 0)
     if 0 not in pts:
         raise MalformedInput("candidate key divides g; g is reducible")
-    hull = _lower_hull(pts.items())
-    slopes = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        t, r = divmod(y1 - y2, x2 - x1)
-        t = Fraction(y1 - y2, x2 - x1) if r else t
-        if t > threshold:
-            slopes.append(t)
-    slopes.sort(reverse=True)  # hull order: steepest (largest t) first
+    slopes = [-s.slope for s in _polygon(pts.items())[1] if s.slope < -threshold]
     return slopes, digits, pts
 
 
@@ -458,11 +440,12 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     top = chain.entries[-1]
     step = len(chain.entries) - 1
     digits, line = _g_expansion(chain)
-    gamma = int(top.gamma)
     if 0 not in line:
         raise MalformedInput("generator is divisible by a key polynomial; g is reducible")
     # the minimal segment of g's polygon has slope -gamma
-    coeffs, fld = _segment_residual(chain, step, digits, 1, line, gamma)
+    _, coeffs, fld = _residual(chain, step, digits, 1, line)
+    if len(coeffs) < 2:
+        raise AssertionError("minimal value attained once; chain data inconsistent")
     factors = [f for f, mult in fld.factor_monic(coeffs)]
     choiceful = len(factors) > 1
     if choiceful and branch_choice is None:
@@ -489,8 +472,7 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     else:
         new_field, emb, z_top = fld.extend_by(phi)
         cand = _jump_key(chain, phi, fld)
-    patched_top = replace(top, res_field=new_field, z=z_top,
-                          emb_prev=_prev_emb(chain, fld, new_field))
+    patched_top = replace(top, res_field=new_field, z=z_top, emb_prev=emb)
     patched = KeyChain(chain.ctx, chain.g, chain.entries[:-1] + (patched_top,),
                        chain.status, chain.mode, chain.branch_log)
     slopes, cand_digits, pts = _admissible_slopes(patched, cand)
@@ -516,17 +498,6 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     out.cache()["g_expansion"] = (
         cand_digits, {j: v + j * gamma_new for j, v in pts.items()})
     return out
-
-
-def _prev_emb(chain: KeyChain, old_field: ResidueField, new_field: ResidueField):
-    """Image of the previous entry's field generator inside the (possibly
-    extended) stage field of the top entry."""
-    k = len(chain.entries) - 1
-    below = _stage_field_below(chain, k)
-    if new_field == below:
-        return below.gen
-    # below embeds into new_field; canonical root of below's modulus
-    return _embed_generator(below, new_field)
 
 
 def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
@@ -708,7 +679,7 @@ def strongly_monic(chain: KeyChain, ell, i: int):
     digits = _iexpand(ql.nums, ent.Q.nums)
     r = len(digits) - 1
     monic = digits[r] == [1]
-    vals = {j: chain.ivalue(i - 1, d) + j * ent.gamma for j, d in enumerate(digits) if d}
+    vals = chain.value_line(i - 1, digits, ent.gamma)
     passed = monic and vals.get(r) == min(vals.values())
     return passed, {"top_index": r, "monic": monic, "values": vals}
 

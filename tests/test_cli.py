@@ -51,12 +51,18 @@ class TestFormats:
 
 
 def old_parse_value(s):
-    """parse_value before its integer fast path: everything through Fraction."""
+    """parse_value before its integer fast path: everything through Fraction,
+    after the digit bound on decimal and exponent notation."""
     if s == "inf":
         return INF
     if isinstance(s, float):
         raise MalformedInput(f"JSON float {s!r}")
+    m = re.fullmatch(r"\s*[-+]?([\d_]*)\.?([\d_]*)(?:[eE]([-+]?[\d_]+))?\s*", s) \
+        if isinstance(s, str) else None
     try:
+        if m and (max(len(m[1].replace("_", "")), 1) + len(m[2].replace("_", ""))
+                  + abs(int(m[3] or 0)) > sys.get_int_max_str_digits()):
+            raise MalformedInput(f"{s!r} past the digit limit")
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedInput(f"bad rational {s!r}: {e}")
@@ -105,6 +111,22 @@ class TestIntegerFastPath:
     @example("-0")
     @example("+7")
     @example("7\n")
+    @example("1e4299")      # 4,300 digits: the bound
+    @example("1e4300")
+    @example("12e4298")
+    @example("1.5e4298")
+    @example("1.5e4299")
+    @example("1e-4299")
+    @example("1e-4300")
+    @example(".5e-4298")
+    @example(".5e-4299")
+    @example("1_0e4298")
+    @example("1e1_000_000")
+    @example("-0e9999999")
+    @example("0." + "1" * 4299)
+    @example("0." + "1" * 4300)
+    @example("+" + "1" * 4300)
+    @example("+" + "1" * 4301)
     def test_parse_value_matches_fraction_route(self, s):
         got, want = outcome(parse_value, s), outcome(old_parse_value, s)
         assert got == want
@@ -418,6 +440,47 @@ class TestMainExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert out["error"] == "malformed-input"
         assert f"{sys.get_int_max_str_digits()} digits" in out["message"]
+
+    @pytest.mark.parametrize("g", [[2, "1e1000000", 1], [2, "-3.5E-999999", 1],
+                                   [2, "1e4300", 1]])
+    def test_exponent_notation_beyond_str_digit_limit_exit1(self, tmp_path, capsys, g):
+        path = self.write(tmp_path, {"p": 5, "g": g})
+        start = time.perf_counter()
+        assert main(["--config", path, "--command", "check"]) == 1
+        assert time.perf_counter() - start < 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed-input"
+        assert f"{sys.get_int_max_str_digits()} digits" in out["message"]
+
+    def test_exponent_notation_within_str_digit_limit(self):
+        assert parse_value("1e3") == 1000 and parse_value("5.0") == 5
+        assert parse_value("5_000") == 5000 and parse_value("25e-2") == Fraction(1, 4)
+        assert parse_value("1e4299") == 10 ** 4299
+
+    @pytest.mark.parametrize("config", ["directory", "not-utf8", "missing"])
+    def test_unreadable_config_exit1(self, tmp_path, capsys, config):
+        path = tmp_path / config
+        if config == "directory":
+            path.mkdir()
+        elif config == "not-utf8":
+            path.write_bytes(b"\xff{}")
+        assert main(["--config", str(path), "--command", "chain"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed-input"
+        assert out["message"].startswith("cannot read config")
+
+    @pytest.mark.parametrize("where", ["g", "payload"])
+    def test_deeply_nested_config_exit1(self, tmp_path, capsys, where):
+        nested = "[" * 1000 + "]" * 1000
+        text = ('{"p": 2, "g": %s}' if where == "g"
+                else '{"p": 2, "g": [3, 0, 1], "payload": {"poly": %s}}') % nested
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "--command", "eval"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed-input" and "nested" in out["message"]
+        with pytest.raises(MalformedInput):
+            deserialize(text)
 
     def test_depth_above_bound_exit1_at_once(self, tmp_path, capsys):
         path = self.write(tmp_path, {**EXC, "depth": MAX_DEPTH + 1})
