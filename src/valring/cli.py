@@ -37,11 +37,18 @@ CONFIG_FIELDS = {"p", "g", "branch", "depth", "mode", "payload", "seed"}
 MAX_IMAGE_DEGREE = 256
 # bounds the work of every command: the number of chain entries asked for
 MAX_DEPTH = 256
+# bounds the nesting of a config's arrays and objects (configs nest at most
+# 5 levels), checked before decoding so that no recursion limit decides it
+MAX_NESTING = 32
 
 _DECIMAL_INT = re.compile(r"-?[0-9]+")
 # Fraction's decimal and exponent forms: "<whole>.<frac>e<exp>" is the int
-# of the digits of whole and frac times 10^exp over 10^len(frac)
+# of the digits of whole and frac times 10^exp over 10^len(frac), so the
+# mantissa's digits (an empty whole part counts one) plus |exp| bound the
+# digits of its numerator and denominator
 _DECIMAL_FORM = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?\s*")
+# keeps the brackets of ASCII text, writing each as [ or ]
+_BRACKETS = str.maketrans({chr(i): None for i in range(128)} | dict(zip("[]{}", "[][]")))
 
 
 # -- scalar and polynomial text formats --------------------------------------
@@ -82,24 +89,17 @@ def parse_value(s):
         if isinstance(s, str):
             if _DECIMAL_INT.fullmatch(s):
                 return int(s)
-            _check_digit_bound(s)
+            # refused past the int-string limit before the power of ten is made
+            m = _DECIMAL_FORM.fullmatch(s)
+            limit = sys.get_int_max_str_digits()
+            if m and limit:
+                whole, frac, exp = (x or "" for x in m.groups())
+                digits = max(len(whole.replace("_", "")), 1) + len(frac.replace("_", ""))
+                if digits + abs(int(exp or 0)) > limit:
+                    raise MalformedInput(f"scalar {s!r} exceeds the limit of {limit} digits")
         return Fraction(str(s))
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedInput(f"bad rational {s!r}: {e}")
-
-
-def _check_digit_bound(s: str) -> None:
-    """Refuse a decimal or exponent form, before Fraction computes its power
-    of ten, whose numerator or denominator could pass the int-string digit
-    limit: the mantissa's digits (an empty whole part counts as one) plus
-    the exponent's magnitude bound the digits of both."""
-    m = _DECIMAL_FORM.fullmatch(s)
-    limit = sys.get_int_max_str_digits()
-    if m and limit:
-        whole, frac, exp = m.groups()
-        digits = max(len(whole.replace("_", "")), 1) + len((frac or "").replace("_", ""))
-        if digits + abs(int(exp or 0)) > limit:
-            raise MalformedInput(f"scalar {s!r} exceeds the limit of {limit} digits")
 
 
 def _parse_index(x, what: str, least: int = 0) -> int:
@@ -201,12 +201,24 @@ def _write_json(o, nl: str, out: list) -> None:
 
 
 def deserialize(text: str):
+    """The JSON value of text.  Arrays and objects nested deeper than
+    MAX_NESTING are refused before json decodes them."""
+    if text.count("[") + text.count("{") > MAX_NESTING:
+        # the pieces between unescaped quotes alternate outside and inside
+        # strings; each round drops the innermost bracket pairs outside, and
+        # an unpaired opener adds at most one level
+        unescaped = text.replace("\\\\", "").replace('\\"', "")
+        brackets = "".join(unescaped.split('"')[::2]).translate(_BRACKETS)
+        depth = 0
+        while "[]" in brackets and depth <= MAX_NESTING:
+            brackets = brackets.replace("[]", "")
+            depth += 1
+        if depth + brackets.count("[") > MAX_NESTING:
+            raise MalformedInput(f"JSON nested deeper than {MAX_NESTING} levels")
     try:
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedInput(f"parse error at line {e.lineno} column {e.colno}: {e.msg}")
-    except RecursionError:
-        raise MalformedInput("JSON nested too deeply") from None
     except ValueError:
         # json reads integer literals with int(), which refuses long ones
         raise MalformedInput("an integer literal exceeds the limit of "
@@ -466,12 +478,9 @@ def main(argv=None) -> int:
         out = run(args.command, config, trace=args.trace)
         text = serialize(out)
         status = 0
-    except MalformedInput as e:
+    except (MalformedInput, MathRejection) as e:
         text = serialize({"error": e.reason, "message": str(e)})
-        status = 1
-    except MathRejection as e:
-        text = serialize({"error": e.reason, "message": str(e)})
-        status = 2
+        status = 1 if isinstance(e, MalformedInput) else 2
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)

@@ -133,7 +133,7 @@ class KeyChain:
         polygon, raised along slope -gamma."""
         return {j: self.ivalue(k, d) + j * gamma for j, d in enumerate(digits) if d}
 
-    def resval(self, k: int, nums, den: int = 1):
+    def resval(self, k: int, nums, den: int):
         """(value, residue, field) of the polynomial f with numerator list
         nums over den, from entries 0..k.  The residue of f(eta)/p^value is
         z_k^l R(z_k), R the residual polynomial of f's Q_k-expansion along
@@ -305,26 +305,18 @@ def _residual(chain: KeyChain, i: int, digits, den: int, line: dict):
     """
     m = min(line.values())
     on_line = [j for j, v in line.items() if v == m]
-    fld = _stage_field_below(chain, i)
+    fld = chain.entries[i - 1].res_field if i else chain.ctx.residue_field
+    if fld is None:
+        raise AssertionError("stage field missing")
     coeffs = []
     for j in range(on_line[0], on_line[-1] + 1):
         if line.get(j) != m:
             coeffs.append(fld.zero)
             continue
-        _, r, sub = chain.resval(i - 1, digits[j], den)
-        # a constant digit's residue is in F_p; entry i-1 carries the image
-        # of its predecessor's generator
-        coeffs.append(r if sub == fld else _embedded(sub, fld, chain.entries[i - 1].emb_prev, r))
+        # a constant digit's residue lies in F_p, whose elements are those
+        # of every stage field
+        coeffs.append(chain.resval(i - 1, digits[j], den)[1])
     return on_line[0], tuple(coeffs), fld
-
-
-def _stage_field_below(chain: KeyChain, i: int) -> ResidueField:
-    if i == 0:
-        return chain.ctx.residue_field
-    ent = chain.entries[i - 1]
-    if ent.res_field is None:
-        raise AssertionError("stage field missing")
-    return ent.res_field
 
 
 # ---------------------------------------------------------------------------

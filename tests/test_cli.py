@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from valring.cli import (MAX_DEPTH, JobConfig, _int_text, deserialize,
+from valring.cli import (MAX_DEPTH, MAX_NESTING, JobConfig, _int_text, deserialize,
                          fmt_unipoly, fmt_value, fmt_xpoly, main, parse_unipoly,
                          parse_value, parse_xpoly, run, serialize)
 from valring.algebra import INF, UniPoly
@@ -470,17 +470,51 @@ class TestMainExitCodes:
         assert out["message"].startswith("cannot read config")
 
     @pytest.mark.parametrize("where", ["g", "payload"])
-    def test_deeply_nested_config_exit1(self, tmp_path, capsys, where):
-        nested = "[" * 1000 + "]" * 1000
+    @pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1, 1000])
+    def test_deeply_nested_config_exit1(self, tmp_path, capsys, where, depth):
+        # the document nests depth levels: the config object, the payload
+        # object if any, then the arrays
+        arrays = depth - (1 if where == "g" else 2)
+        nested = "[" * arrays + "]" * arrays
         text = ('{"p": 2, "g": %s}' if where == "g"
                 else '{"p": 2, "g": [3, 0, 1], "payload": {"poly": %s}}') % nested
         path = tmp_path / "c.json"
         path.write_text(text)
         assert main(["--config", str(path), "--command", "eval"]) == 1
         out = json.loads(capsys.readouterr().out)
-        assert out["error"] == "malformed-input" and "nested" in out["message"]
-        with pytest.raises(MalformedInput):
-            deserialize(text)
+        assert out["error"] == "malformed-input"
+        refused = f"nested deeper than {MAX_NESTING} levels" in out["message"]
+        assert refused == (depth > MAX_NESTING)
+
+    def test_nesting_bound(self):
+        assert MAX_NESTING == 32
+        for levels in (MAX_NESTING, MAX_NESTING + 1, 1000):
+            text = "[" * levels + "]" * levels
+            if levels <= MAX_NESTING:
+                assert deserialize(text) is not None
+            else:
+                with pytest.raises(MalformedInput, match="nested deeper than 32"):
+                    deserialize(text)
+        # brackets inside strings, escaped quotes included, do not count
+        text = '{"a": "%s\\"%s", "b": [[]]}' % ("[" * 1000, "{" * 1000)
+        assert deserialize(text)["b"] == [[]]
+        # an escaped backslash ends the string at the next quote
+        inner = "[" * (MAX_NESTING - 1) + "]" * (MAX_NESTING - 1)
+        assert deserialize('["\\\\", %s]' % inner)[0] == "\\"
+        with pytest.raises(MalformedInput, match="nested deeper"):
+            deserialize('["\\\\", [%s]]' % inner)
+        # objects count as arrays do, and unclosed openers count too
+        with pytest.raises(MalformedInput, match="nested deeper"):
+            deserialize('{"a": ' * 20 + "[" * 20 + "0" + "]" * 20 + "}" * 20)
+        with pytest.raises(MalformedInput, match="nested deeper"):
+            deserialize("[" * 1000)
+        with pytest.raises(MalformedInput, match="parse error"):
+            deserialize("[" * MAX_NESTING)
+        # the bound does not hang on the caller's stack depth
+        def deep(n):
+            return deep(n - 1) if n else deserialize("[" * 1000 + "]" * 1000)
+        with pytest.raises(MalformedInput, match="nested deeper"):
+            deep(sys.getrecursionlimit() - 100)
 
     def test_depth_above_bound_exit1_at_once(self, tmp_path, capsys):
         path = self.write(tmp_path, {**EXC, "depth": MAX_DEPTH + 1})
