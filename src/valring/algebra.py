@@ -599,14 +599,6 @@ class OracleValue:
     value: object  # Fraction/int or INF
     method: str
 
-    def __eq__(self, other):
-        if isinstance(other, OracleValue):
-            return self.value == other.value and self.method == other.method
-        return self.value == other
-
-    def __hash__(self):
-        return hash((self.value, self.method))
-
 
 def nu_oracle(ctx: ValuedFieldCtx, g: UniPoly, branch: BranchDescriptor, h: UniPoly,
               root_cache: dict | None = None) -> OracleValue:
@@ -841,18 +833,8 @@ class ResidueField:
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero in residue field")
-        p = self.p
-        if self.k == 1:
-            return pow(a, -1, p)
-        # extended Euclid in F_p[t]: s_i * a == r_i mod the modulus
-        fp = self._prime
-        r0, r1 = self.modulus, fp.poly_norm(self.coords(a))
-        s0, s1 = (), (1,)
-        while len(r1) > 1:
-            q, r = fp.poly_divmod(r0, r1)
-            r0, r1, s0, s1 = r1, r, s1, fp.poly_sub(s0, fp.poly_mul(q, s1))
-        c = pow(r1[0], -1, p)
-        return self._from_coords([sc * c % p for sc in s1])
+        # a^(q-1) = 1 in the multiplicative group of F_q
+        return self.pow(a, self.q - 2)
 
     def frobenius(self, a):
         return self.pow(a, self.p)

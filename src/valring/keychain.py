@@ -373,21 +373,20 @@ def _refine_key(chain: KeyChain, root, fld: ResidueField) -> UniPoly:
             "within-plateau refinement above degree 1 is not constructible here")
     if fld.k != 1:
         raise AssertionError("degree-1 plateau with extended residue field")
-    zhat = root % p
     c_prev = -top.Q.nums[0]
     gamma = int(top.gamma)
     if gamma == 0:
         # first refinement of the Gauss key: coefficientwise lift of the
-        # factor y - root, i.e. x - c with c = -(p - zhat) reduced: x + lift
-        c_new = -((p - zhat) % p)
+        # factor y - root, i.e. x - c with c = -(p - root) reduced: x + lift
+        c_new = -((p - root) % p)
     else:
-        c_new = (c_prev + zhat * p ** gamma) % p ** (gamma + 1)
+        c_new = (c_prev + root * p ** gamma) % p ** (gamma + 1)
     return UniPoly._raw((-c_new, 1), 1)
 
 
 def _jump_key(chain: KeyChain, phi, fld: ResidueField) -> UniPoly:
     """Degree-jump lift: recombine the coefficientwise-smallest lift of the
-    chosen factor with powers of the current key."""
+    chosen factor (its coefficients, ints in range(p)) with powers of Q."""
     top = chain.entries[-1]
     p = chain.ctx.p
     if fld.k != 1:
@@ -397,10 +396,8 @@ def _jump_key(chain: KeyChain, phi, fld: ResidueField) -> UniPoly:
     gamma = int(top.gamma)
     out = UniPoly()
     for k, c in enumerate(phi):
-        ck = c % p
-        if ck == 0:
-            continue
-        out = out + top.Q ** k * (ck * p ** ((d - k) * gamma))
+        if c:
+            out = out + top.Q ** k * (c * p ** ((d - k) * gamma))
     return out
 
 
@@ -410,7 +407,7 @@ def _admissible_slopes(chain: KeyChain, cand: UniPoly):
     nu(candidate) across branches through the current stage, steepest (largest
     t) first (an int t unless the hull step does not divide).  Also returns
     the candidate-expansion of g as int lists and its points
-    {j: ivalue(k, g_j)}."""
+    {j: ivalue(k, g_j)}.  Only the chain's keys and values are read."""
     k = len(chain.entries) - 1
     threshold = chain.ivalue(k, cand.nums)
     digits = _iexpand(chain.g.nums, cand.nums)
@@ -421,11 +418,26 @@ def _admissible_slopes(chain: KeyChain, cand: UniPoly):
     return slopes, digits, pts
 
 
+def _pick(branch_choice, step: int, factors, options, what: str):
+    """The (slope index, factor index) pair a menu of several options
+    consumes, or None at a forced menu."""
+    if len(options) < 2:
+        return None
+    if branch_choice is None:
+        raise AmbiguousBranch(f"step {step}: {len(options)} {what}")
+    slope_idx, fac_idx = branch_choice
+    if not 0 <= fac_idx < len(factors):
+        raise AmbiguousBranch(f"factor index {fac_idx} out of range at step {step}")
+    return slope_idx, fac_idx
+
+
 def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     """One augmentation step; returns a new chain.
 
     branch_choice is a (slope index, factor index) pair consumed only when
-    the step presents more than one option in either menu.
+    the step presents more than one option in either menu: at the residual
+    factors when they are several, else at the admissible slopes.  The new
+    chain's branch log gains a BranchPoint exactly when it is consumed.
     """
     if chain.complete:
         raise MalformedInput("chain already complete")
@@ -439,56 +451,42 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     if len(coeffs) < 2:
         raise AssertionError("minimal value attained once; chain data inconsistent")
     factors = [f for f, mult in fld.factor_monic(coeffs)]
-    choiceful = len(factors) > 1
-    if choiceful and branch_choice is None:
-        raise AmbiguousBranch(f"step {step}: {len(factors)} residual factors")
-    fac_idx, slope_idx = 0, 0
-    if branch_choice is not None:
-        slope_idx, fac_idx = branch_choice
-    if not 0 <= fac_idx < len(factors):
-        raise AmbiguousBranch(f"factor index {fac_idx} out of range at step {step}")
-    phi = factors[fac_idx]
+    pick = _pick(branch_choice, step, factors, factors, "residual factors")
+    phi = factors[pick[1] if pick else 0]
+    slopes, slope_idx = (), 0
     if top.Q.degree * (len(phi) - 1) == chain.g.degree:
         # the chosen factor exhausts g: append g itself with value infinity
-        gent = ChainEntry(top.position + 1, chain.g, INF, None, chain.g)
-        log = chain.branch_log
-        if choiceful:
-            log = log + (BranchPoint(step, tuple(factors), fac_idx, (), 0),)
-        return KeyChain(chain.ctx, chain.g, chain.entries + (gent,), "complete",
-                        chain.mode, log)
-    # fix the top entry's residue data from the chosen factor
-    if len(phi) - 1 == 1:
-        root = fld.neg(phi[0])
-        new_field, emb, z_top = fld, fld.gen, root
-        cand = _refine_key(chain, root, fld)
+        new = (top, ChainEntry(top.position + 1, chain.g, INF, None, chain.g))
     else:
-        new_field, emb, z_top = fld.extend_by(phi)
-        cand = _jump_key(chain, phi, fld)
-    patched_top = replace(top, res_field=new_field, z=z_top, emb_prev=emb)
-    patched = KeyChain(chain.ctx, chain.g, chain.entries[:-1] + (patched_top,),
-                       chain.status, chain.mode, chain.branch_log)
-    slopes, cand_digits, pts = _admissible_slopes(patched, cand)
-    if not slopes:
-        raise AssertionError("no admissible slope for a freshly built key")
-    choiceful = choiceful or len(slopes) > 1
-    if len(slopes) > 1 and branch_choice is None:
-        raise AmbiguousBranch(
-            f"step {step}: {len(slopes)} admissible slopes")
-    if not 0 <= slope_idx < len(slopes):
-        raise AmbiguousBranch(f"slope index {slope_idx} out of range at step {step}")
-    t = slopes[slope_idx]
-    if t.denominator != 1:
-        raise RamifiedBranch(
-            f"chosen branch has value increment {t}: e = 1 fails on this branch")
-    gamma_new = int(t)
-    new_entry = _entry(chain.ctx, top.position + 1, cand, gamma_new)
-    log = patched.branch_log
-    if choiceful:
-        log = log + (BranchPoint(step, tuple(factors), fac_idx, tuple(slopes), slope_idx),)
-    out = KeyChain(chain.ctx, chain.g, patched.entries + (new_entry,),
-                   chain.status, chain.mode, log)
-    out.cache()["g_expansion"] = (
-        cand_digits, {j: v + j * gamma_new for j, v in pts.items()})
+        # fix the top entry's residue data from the chosen factor
+        if len(phi) == 2:
+            new_field, emb, z_top = fld, fld.gen, fld.neg(phi[0])
+            cand = _refine_key(chain, z_top, fld)
+        else:
+            new_field, emb, z_top = fld.extend_by(phi)
+            cand = _jump_key(chain, phi, fld)
+        slopes, cand_digits, pts = _admissible_slopes(chain, cand)
+        if not slopes:
+            raise AssertionError("no admissible slope for a freshly built key")
+        pick = pick or _pick(branch_choice, step, factors, slopes, "admissible slopes")
+        slope_idx = pick[0] if pick else 0
+        if not 0 <= slope_idx < len(slopes):
+            raise AmbiguousBranch(f"slope index {slope_idx} out of range at step {step}")
+        t = slopes[slope_idx]
+        if t.denominator != 1:
+            raise RamifiedBranch(
+                f"chosen branch has value increment {t}: e = 1 fails on this branch")
+        gamma_new = int(t)
+        new = (ChainEntry(top.position, top.Q, top.gamma, top.a, top.Qt, new_field, z_top, emb),
+               _entry(chain.ctx, top.position + 1, cand, gamma_new))
+    log = chain.branch_log
+    if pick:
+        log = log + (BranchPoint(step, tuple(factors), pick[1], tuple(slopes), slope_idx),)
+    status = chain.status if slopes else "complete"
+    out = KeyChain(chain.ctx, chain.g, chain.entries[:-1] + new, status, chain.mode, log)
+    if not out.complete:
+        out.cache()["g_expansion"] = (
+            cand_digits, {j: v + j * gamma_new for j, v in pts.items()})
     return out
 
 
@@ -497,19 +495,20 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
     """Drive augmentation to completion or to a prefix of `depth` entries.
 
     branch_selector is "unique" (every step must be forced) or a list of
-    (slope index, factor index) pairs consumed by choiceful steps in order.
+    (slope index, factor index) pairs consumed by choiceful steps in order:
+    each step is offered the next pair its chain's branch log has not used.
     """
     if depth < 1:
         raise MalformedInput("depth must be >= 1")
     if mode not in (FULL, COLLAPSED):
         raise MalformedInput(f"unknown mode {mode!r}")
     chain = gauss_start(ctx, g)
-    picks = list(branch_selector) if branch_selector != "unique" else None
-    used = 0
+    picks = list(branch_selector) if branch_selector != "unique" else []
     while not chain.complete:
         at_depth = len(chain.entries) >= depth
+        used = len(chain.branch_log)
         try:
-            nxt, used2 = _try_augment(chain, picks, used)
+            nxt = augment(chain, tuple(picks[used]) if used < len(picks) else None)
         except AmbiguousBranch:
             if at_depth:
                 break
@@ -517,7 +516,7 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
         if at_depth and not nxt.complete:
             # depth reached and the next step only refines: stop here
             break
-        chain, used = nxt, used2
+        chain = nxt
     if not chain.complete and chain.entries[-1].Q.degree == 1:
         # a depth cut, not a prefix of an infinite plateau, if the seed fails
         seed = chain.branch_descriptor().seed
@@ -531,25 +530,16 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
     return chain
 
 
-def _try_augment(chain, picks, used):
-    try:
-        return augment(chain, None), used
-    except AmbiguousBranch:
-        if picks is None or used >= len(picks):
-            raise
-        return augment(chain, tuple(picks[used])), used + 1
-
-
 def collapse(chain: KeyChain) -> KeyChain:
     """Keep only the last element of every finite plateau (truncated-infinite
-    plateaus and the final entry are kept whole) and re-index positions."""
-    seg = segment(chain)
+    plateaus and the final entry, which shares x's plateau when deg g = 1,
+    are kept whole) and re-index positions."""
     keep = []
-    for pl in seg.plateaus:
-        if pl.flag in ("singleton", "truncated-infinite"):
-            keep.extend(pl.positions)
-        else:
-            keep.append(pl.positions[-1])
+    for pl in segment(chain).plateaus:
+        stars = [i for i in pl.positions if i != chain.imax_pos]
+        keep.extend(stars if pl.flag in ("singleton", "truncated-infinite") else stars[-1:])
+    if chain.complete:
+        keep.append(chain.imax_pos)
     new_entries = []
     for newpos, old in enumerate(keep):
         ent = chain.entries[old]

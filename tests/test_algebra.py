@@ -14,6 +14,7 @@ from valring.algebra import (
     INF,
     P_BOUND,
     BranchDescriptor,
+    OracleValue,
     ResidueClass,
     ResidueField,
     UniPoly,
@@ -316,6 +317,14 @@ class TestNuOracle:
         # factor with g, and the value is infinite exactly at that factor's root
         out = nu_oracle(ValuedFieldCtx(3), P(-10, 3, 1), BranchDescriptor("hensel", seed), h)
         assert (out.value, out.method) == (want, "hensel")
+
+    def test_value_is_a_record_not_a_scalar(self):
+        # equality and hash both read (value, method), so equal values hash
+        # equally and a value never equals a bare scalar
+        a = OracleValue(Fraction(3), "resultant")
+        assert a == OracleValue(3, "resultant") and hash(a) == hash(OracleValue(3, "resultant"))
+        assert a != 3 and len({a, 3}) == 2 and a != OracleValue(3, "hensel")
+        assert a.value == 3
 
 
 class TestResidueField:

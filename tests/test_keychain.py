@@ -54,6 +54,14 @@ class TestBuildChain:
     def test_exb(self, chain_b):
         assert keys(chain_b) == [(UniPoly.x(), 0), (GB, INF)]
 
+    def test_linear_generator_collapsed(self):
+        # g = x + 1 shares the degree-1 plateau with x; collapsing keeps g
+        # apart, so the collapsed chain is the full one
+        full = build_chain(CTX2, UniPoly((1, 1)), "unique")
+        collapsed = build_chain(CTX2, UniPoly((1, 1)), "unique", mode="collapsed")
+        assert collapsed.entries == full.entries and len(full.entries) == 2
+        assert validation_passed(validate(collapsed))
+
     def test_exc_depth4(self, chain_c):
         assert keys(chain_c) == [
             (UniPoly.x(), 0), (UniPoly((1, 1)), 2),
@@ -115,6 +123,61 @@ class TestAugment:
         from valring.keychain import augment
         with pytest.raises(MalformedInput):
             augment(chain_a)
+
+    def test_one_call_per_step(self, monkeypatch):
+        # x^2 + 7 at depth 4: three steps build the prefix, the first of them
+        # choiceful, and a fourth at depth shows that the next key only refines
+        from valring import keychain
+        offered = []
+
+        def counting(chain, branch_choice=None):
+            offered.append(branch_choice)
+            return augment(chain, branch_choice)
+
+        augment = keychain.augment
+        monkeypatch.setattr(keychain, "augment", counting)
+        chain = build_chain(CTX2, GC, BRANCH_C, depth=4)
+        assert offered == [(0, 0), None, None, None]
+        assert len(chain.entries) == 4 and len(chain.branch_log) == 1
+
+    @pytest.mark.parametrize("g, picks", [(GA, ()), (GA, ((1, 0),)), (GC, ((0, 0),))])
+    def test_choice_ignored_at_forced_step(self, g, picks):
+        from valring.keychain import augment
+        c = gauss_start(CTX2, g)
+        for pick in picks:
+            c = augment(c, pick)
+        forced = augment(c)
+        for pick in ((1, 0), (0, 1), (3, 3)):
+            assert augment(c, pick) == forced
+        assert forced.branch_log == c.branch_log
+
+    @pytest.mark.parametrize("p, g, pick, logged, message", [
+        # x^2 + 7 at p = 2: one residual factor, two admissible slopes
+        (2, GC, None, None, "step 0: 2 admissible slopes"),
+        (2, GC, (1, 0), (0, 0, 1, (2, 1), 1), None),
+        (2, GC, (2, 0), None, "slope index 2 out of range at step 0"),
+        (2, GC, (0, 1), None, "factor index 1 out of range at step 0"),
+        # x^2 + 2 at p = 3: two residual factors, then one slope
+        (3, UniPoly((2, 0, 1)), None, None, "step 0: 2 residual factors"),
+        (3, UniPoly((2, 0, 1)), (0, 1), (0, 1, 2, (1,), 0), None),
+        (3, UniPoly((2, 0, 1)), (0, 2), None, "factor index 2 out of range at step 0"),
+        (3, UniPoly((2, 0, 1)), (1, 0), None, "slope index 1 out of range at step 0"),
+    ])
+    def test_pick_resolved_at_first_choiceful_menu(self, p, g, pick, logged, message):
+        from valring.keychain import augment
+        c = gauss_start(ValuedFieldCtx(p), g)
+        if message is not None:
+            with pytest.raises(AmbiguousBranch, match=f"^{message}$"):
+                augment(c, pick)
+            return
+        (bp,) = augment(c, pick).branch_log
+        assert (bp.step, bp.factor_pick, len(bp.factor_options), bp.slope_options,
+                bp.slope_pick) == logged
+
+    def test_step_at_depth_is_computed(self):
+        # the step past the depth is still built, so its rejection shows
+        with pytest.raises(RamifiedBranch, match="value increment 1/2"):
+            build_chain(CTX2, UniPoly((-1, -2, 1)), "unique", depth=1)
 
 
 class TestNewtonPolygon:
