@@ -189,6 +189,14 @@ def _iconv(a, b) -> list:
     return out
 
 
+def _ieval(nums, x: int) -> int:
+    """The int polynomial with numerator list nums at the int x, by Horner."""
+    acc = 0
+    for c in reversed(nums):
+        acc = acc * x + c
+    return acc
+
+
 def _idivmod(f: list, dn) -> list:
     """Divide the int list f in place by the int list dn, whose leading
     entry divides every quotient digit exactly (it is 1 for a monic
@@ -456,8 +464,18 @@ def qexpand(f: UniPoly, q: UniPoly, scale=1):
 def _iexpand(nums, qn) -> list:
     """The digits of the q-expansion of the int list nums, for q monic
     integral with numerators qn: int lists without trailing zeros (an empty
-    list is a zero digit), one pass of synthetic divisions."""
+    list is a zero digit), one pass of synthetic divisions.  At a linear
+    key x + c the digits are the Taylor coefficients of nums at -c, from
+    one in-place Horner shift."""
     nums = list(nums)
+    if len(qn) == 2:
+        t, n = -qn[0], len(nums)
+        if t:
+            for i in range(n - 1):
+                acc = nums[-1]
+                for j in range(n - 2, i - 1, -1):
+                    acc = nums[j] = nums[j] + t * acc
+        return [[c] if c else [] for c in nums]
     out = []
     while nums:
         quot = _idivmod(nums, qn)
@@ -545,10 +563,10 @@ def hensel_root(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, n_digits: i
         raise MalformedInput("hensel_root needs a nonzero integral polynomial")
     p = ctx.p
     s = seed.value % (p ** seed.precision)
-    dg = g.derivative()
-    gx = g(s)
-    vg = pval(ctx, gx)
-    vdg = pval(ctx, dg(s))
+    gn, dn = g.nums, g.derivative().nums
+    gx = _ieval(gn, s)
+    vg = _intval(p, gx)
+    vdg = _intval(p, _ieval(dn, s))
     if vdg is INF:
         raise NoConvergence("derivative vanishes at seed")
     if not (vg is INF or vg > 2 * vdg):
@@ -562,11 +580,11 @@ def hensel_root(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, n_digits: i
     k = vg - d  # current agreement: root == x mod p**k
     x = s
     while k < n_digits:
-        unit = int(dg(x)) // p ** d
-        digit = -(int(gx) // p ** (d + k)) * pow(unit, -1, p) % p
+        unit = _ieval(dn, x) // p ** d
+        digit = -(gx // p ** (d + k)) * pow(unit, -1, p) % p
         cand = x + digit * p ** k
-        gx = g(cand)
-        vc = pval(ctx, gx)
+        gx = _ieval(gn, cand)
+        vc = _intval(p, gx)
         if not (vc is INF or vc >= d + k + 1):
             raise NoConvergence("no digit continues the convergent branch")
         x = cand
@@ -662,7 +680,7 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
         if root.precision < n:
             root = hensel_root(ctx, g, root, n)
         cache["hensel_root"] = root
-        val = pval(ctx, hh(root.value))
+        val = _intval(ctx.p, _ieval(h.nums, root.value))
         if val is not INF and val < n - margin:
             return val - _intval(ctx.p, h.den)
         if n > cap:

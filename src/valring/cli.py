@@ -16,6 +16,7 @@ import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _json_str
+from math import gcd
 
 from .algebra import INF, UniPoly, ValuedFieldCtx
 from .errors import MalformedInput, MathRejection
@@ -26,7 +27,7 @@ from .presentrel import ideal_generators, redundancy_cofactor
 from .rewrite import (building, is_neat, reduction, total_reduction,
                       total_s_building, vdeg)
 from .verify import check_relations, completeness_probe, membership
-from .xpoly import XPoly, monom
+from .xpoly import XPoly, _monom_key, monom
 
 COMMANDS = ("chain", "present", "eval", "expand", "build", "reduce", "member", "check")
 
@@ -66,13 +67,19 @@ def _int_text(n: int) -> str:
         return sign + _int_text(hi) + _int_text(lo).zfill(k)
 
 
+def _ratio_text(n: int, d: int) -> str:
+    """The text of n/d in lowest terms, for ints n and d > 0."""
+    if d != 1:
+        g = gcd(n, d)
+        n, d = n // g, d // g
+        if d != 1:
+            return f"{_int_text(n)}/{_int_text(d)}"
+    return _int_text(n)
+
+
 def fmt_value(v) -> str:
-    if v is INF:
-        return "inf"
-    f = Fraction(v)
-    if f.denominator == 1:
-        return _int_text(f.numerator)
-    return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"
+    """The text of an int, a Fraction or INF."""
+    return "inf" if v is INF else _ratio_text(v.numerator, v.denominator)
 
 
 def parse_value(s):
@@ -110,7 +117,7 @@ def _parse_index(x, what: str, least: int = 0) -> int:
 
 
 def fmt_unipoly(u: UniPoly):
-    return [fmt_value(c) for c in u.coeffs]
+    return [_ratio_text(c, u.den) for c in u.nums]
 
 
 def parse_unipoly(arr) -> UniPoly:
@@ -120,8 +127,8 @@ def parse_unipoly(arr) -> UniPoly:
 
 
 def fmt_xpoly(F: XPoly):
-    return [{"c": fmt_value(c), "e": {str(k): v for k, v in m}}
-            for m, c in F.sorted_terms()]
+    return [{"c": _ratio_text(F.nums[m], F.den), "e": {str(k): v for k, v in m}}
+            for m in sorted(F.nums, key=_monom_key, reverse=True)]
 
 
 def parse_xpoly(arr) -> XPoly:

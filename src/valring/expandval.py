@@ -22,9 +22,9 @@ def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
     """{j: nu(f_j) + j*gamma_i} over the nonzero terms of the Q_i-expansion.
 
     The expansion runs on f's numerators (the key is monic integral), so
-    digit j is d_j / den.  A constant digit, and every digit on the
-    recursive route, takes its value from the chain-internal evaluator;
-    the oracle answers the other digits."""
+    digit j is d_j / den.  A constant digit's value is v_p of its
+    numerators; on the recursive route the chain-internal evaluator
+    answers the other digits, else the oracle does."""
     ent = chain.entry(i)
     if not is_finite(ent.gamma):
         raise MalformedInput(f"{what} needs a position of finite value")
@@ -34,7 +34,9 @@ def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
     for j, d in enumerate(_iexpand(f.nums, ent.Q.nums)):
         if not d:
             continue
-        if method == RECURSIVE or len(d) == 1:
+        if len(d) == 1:
+            v = _intval(chain.ctx.p, d[0]) - vden
+        elif method == RECURSIVE:
             v = chain.ivalue(top, d) - vden
         else:
             v = chain.nu(UniPoly._make(d, f.den)).value

@@ -195,12 +195,17 @@ class KeyChain:
 
     def nu(self, h: UniPoly) -> OracleValue:
         # chains are immutable, so the cached Hensel root and values stay
-        # sound; a raised OracleUnavailable is not kept
+        # sound; a raised OracleUnavailable is not kept.  nu(n/d) = nu(n) -
+        # v_p(d), so the memo keeps nu(n) under the numerators n (INF
+        # absorbs the shift)
         memo = self.cache().setdefault("nu", {})
-        got = memo.get(h)
+        vden = _intval(self.ctx.p, h.den)
+        got = memo.get(h.nums)
         if got is None:
-            got = memo[h] = nu_oracle(self.ctx, self.g, self.branch_descriptor(), h,
-                                      self.cache())
+            got = nu_oracle(self.ctx, self.g, self.branch_descriptor(), h, self.cache())
+            memo[h.nums] = OracleValue(got.value + vden, got.method) if vden else got
+        elif vden:
+            got = OracleValue(got.value + -vden, got.method)
         return got
 
     def __post_init__(self):

@@ -87,10 +87,9 @@ def is_neat(chain: KeyChain, F: XPoly) -> NeatReport:
     Condition (1), one variable per plateau, is enforced literally on
     truncated-infinite plateaus; on finite multi-element plateaus (full
     mode) a violation is tolerated and flagged, since collapsed indexing
-    would separate those positions.
+    would separate those positions.  Zero, like a constant, has no
+    variables: it is neat of level 0.
     """
-    if F.is_zero:
-        raise MalformedInput("neatness of zero")
     _check_positions(chain, F)
     seg = segment(chain)
     vars_ = F.variables()

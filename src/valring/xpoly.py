@@ -234,18 +234,13 @@ class XPoly(_QPoly):
         return UniPoly._raw(tuple(nums.get(j, 0) for j in range(max(nums, default=-1) + 1)),
                             self.den)
 
-    # -- canonical ordering ------------------------------------------------------
-
-    def sorted_terms(self):
-        """Terms sorted with the canonical order: exponent maps compared
-        position by position, descending."""
-        return sorted(self.terms.items(), key=lambda mc: _monom_key(mc[0]), reverse=True)
-
     def __repr__(self):
         if self.is_zero:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        terms = self.terms
+        for m in sorted(terms, key=_monom_key, reverse=True):
+            c = terms[m]
             mono = "*".join(f"X{k}^{v}" if v > 1 else f"X{k}" for k, v in m)
             if not mono:
                 parts.append(str(c))
@@ -266,6 +261,8 @@ def extend_powers(powers: list, n: int) -> list:
 
 
 def _monom_key(m: Monom):
+    """Sort key of the canonical term order, which lists terms by
+    descending key: the exponent at each position in turn."""
     if not m:
         return ()
     top = m[-1][0]

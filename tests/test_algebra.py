@@ -6,7 +6,7 @@ import tracemalloc
 from itertools import zip_longest
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from valring import algebra
@@ -202,6 +202,33 @@ class TestQexpand:
             acc = acc + c * q ** j
         assert acc == f
 
+    @settings(max_examples=200, derandomize=True)
+    @given(st.lists(st.one_of(st.just(0), st.integers(-50, 50)), max_size=10),
+           st.lists(st.integers(-6, 6), min_size=1, max_size=4))
+    @example([5, 0, 0, -3, 0, 1], [0])          # q = x
+    @example([1, 0, 2, 0, 0, 7, 0, 1], [-3])    # q = x - 3
+    @example([0, 0, 0, 4], [2, 0, 1])
+    def test_iexpand_digits(self, fc, qlow):
+        """_iexpand, the Taylor shift at a linear key and the synthetic
+        divisions at a longer one, gives the digits of repeated divmod."""
+        while fc and not fc[-1]:
+            fc.pop()
+        qn = qlow + [1]
+        digits = algebra._iexpand(fc, qn)
+        assert all(len(d) < len(qn) and (not d or d[-1]) for d in digits)
+        assert not digits or digits[-1]
+        acc, qj = [0] * len(fc), [1]
+        for d in digits:
+            for i, c in enumerate(algebra._iconv(d, qj) if d else []):
+                acc[i] += c
+            qj = algebra._iconv(qj, qn)
+        assert acc == fc
+        f, q, ref = UniPoly(fc), UniPoly(qn), []
+        while not f.is_zero:
+            f, r = divmod(f, q)
+            ref.append(list(r.nums))
+        assert digits == ref
+
 
 class TestResultant:
     def test_worked_values(self):
@@ -269,6 +296,18 @@ class TestHensel:
                      if pval(ctx, g(x + t * p ** k)) >= d + k + 1)
             k += 1
         assert got == ResidueClass(x % p ** 12, 12)
+
+    def test_lifted_classes_are_pinned(self):
+        # the classes the lifting loop returned while it evaluated g through
+        # Fractions, on the digit-search cases above
+        cases = [(2, GC, ResidueClass(3, 3), 3915), (2, GC, ResidueClass(5, 3), 181),
+                 (3, P(-10, 3, 1), ResidueClass(1, 1), 531436),
+                 (3, P(-10, 3, 1), ResidueClass(4, 2), 531436),
+                 (5, P(-6, 0, 1), ResidueClass(1, 1), 35817391),
+                 (7, P(-6, 0, 0, 1), ResidueClass(3, 1), 6118094552),
+                 (3, P(-13, 0, 9, 0, 1), ResidueClass(2, 1), 259556)]
+        for p, g, seed, value in cases:
+            assert hensel_root(ValuedFieldCtx(p), g, seed, 12) == ResidueClass(value, 12)
 
     def test_large_prime(self):
         p = 1000000007  # p = 3 mod 4: a square root of 2 is 2^((p+1)/4)

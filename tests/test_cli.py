@@ -287,6 +287,16 @@ class TestMainExitCodes:
         assert main(["--config", path, "--command", "member"]) == 2
         assert json.loads(capsys.readouterr().out)["error"] == "not-in-ideal"
 
+    def test_build_of_zero_is_neat_level_0(self, tmp_path, capsys):
+        # zero has no variables, like a constant; reduce and member agree
+        path = self.write(tmp_path, {"p": 2, "g": [3, 0, 1],
+                                     "payload": {"xpoly": [], "s": 0}})
+        assert main(["--config", path, "--command", "build"]) == 0
+        assert json.loads(capsys.readouterr().out) == \
+            {"level": 0, "neat": True, "result": []}
+        assert main(["--config", path, "--command", "reduce"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"result": []}
+
     def test_ambiguous_branch_exit2(self, tmp_path, capsys):
         path = self.write(tmp_path, {"p": 2, "g": ["7", "0", "1"], "depth": 4})
         assert main(["--config", path, "--command", "chain"]) == 2

@@ -389,6 +389,53 @@ class TestOracleEntryPoints:
         assert calls == hs
         assert replace(chain).nu(hs[0]) == first[0] and len(calls) == 4
 
+    @pytest.mark.parametrize("g, branch, depth, method", [
+        (GA, "unique", 16, "resultant"), (GC, BRANCH_C, 8, "hensel")], ids=["A", "C"])
+    def test_nu_memo_is_keyed_by_numerators(self, monkeypatch, g, branch, depth, method):
+        # nu(h / p^k) = nu(h) - k, and INF for g itself: either call answers
+        # the other from the memo
+        import valring.keychain as kc
+        calls = []
+        real = kc.nu_oracle
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(kc, "nu_oracle", counted)
+        chain = build_chain(CTX2, g, branch, depth=depth)
+        for h in [UniPoly((1, 1)), UniPoly((5, 1)), UniPoly((1, 0, 1)),
+                  UniPoly((Fraction(1, 3), 2)), g]:
+            for k in (1, 3):
+                low = h * Fraction(1, 2 ** k)
+                for first, second in ((h, low), (low, h)):
+                    fresh = replace(chain)
+                    calls.clear()
+                    a, b = fresh.nu(first), fresh.nu(second)
+                    assert calls == [first]
+                    assert a.method == b.method == (method if h != g else "divisibility")
+                    want = fresh.nu(h).value
+                    assert fresh.nu(low).value == (want - k if want is not INF else INF)
+                    assert {a, b} == {real(CTX2, g, chain.branch_descriptor(), x)
+                                      for x in (h, low)}
+
+    def test_validate_asks_the_oracle_once_per_key(self, monkeypatch):
+        # Qt_i = Q_i / p^gamma_i shares Q_i's numerators
+        import valring.keychain as kc
+        calls = []
+        real = kc.nu_oracle
+
+        def counted(*args):
+            calls.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(kc, "nu_oracle", counted)
+        chain = build_chain(CTX2, GC, BRANCH_C, depth=24)
+        calls.clear()
+        report = validate(chain)
+        assert validation_passed(report)
+        assert calls == [chain.entries[i].Qt for i in chain.star_positions]
+
     def test_oracle_refusal_is_not_memoized(self, monkeypatch):
         import valring.keychain as kc
         calls = []
