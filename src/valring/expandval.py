@@ -6,7 +6,6 @@ expansion supports across infinite plateaus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
 from .algebra import INF, UniPoly, _iexpand, _intval, is_finite
@@ -26,21 +25,23 @@ def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
     numerators; on the recursive route the chain-internal evaluator
     answers the other digits, else the oracle does."""
     ent = chain.entry(i)
-    if not is_finite(ent.gamma):
+    gamma = ent.gamma
+    if gamma is INF:
         raise MalformedInput(f"{what} needs a position of finite value")
+    p = chain.ctx.p
     top = len(chain.entries) - 1
-    vden = _intval(chain.ctx.p, f.den)
+    vden = _intval(p, f.den)
     out = {}
     for j, d in enumerate(_iexpand(f.nums, ent.Q.nums)):
         if not d:
             continue
         if len(d) == 1:
-            v = _intval(chain.ctx.p, d[0]) - vden
+            v = _intval(p, d[0]) - vden
         elif method == RECURSIVE:
             v = chain.ivalue(top, d) - vden
         else:
             v = chain.nu(UniPoly._make(d, f.den)).value
-        out[j] = v + j * ent.gamma
+        out[j] = v + j * gamma
     return out
 
 
@@ -178,7 +179,7 @@ def check_conditions(chain: KeyChain, exp: FullExpansion, f: UniPoly) -> dict:
             if k == exp.anchor:
                 continue
             deg = chain.entries[k].Q.degree
-            if not e < Fraction(seg.n_plus[deg], deg):
+            if not e * deg < seg.n_plus[deg]:
                 ok2 = False
     degs = [chain.entries[k].Q.degree for k in exp.index_tuple]
     ok3 = len(degs) == len(set(degs))

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import pval
+from .algebra import _intval, pval
 from .errors import MalformedInput, NotInIdeal
 from .expandval import full_expansion
 from .keychain import IMAX, KeyChain, segment, strongly_monic
@@ -57,31 +57,33 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
             raise MalformedInput(f"position {i} is not a successor of the last key")
         exp = full_expansion(chain, i, chain.g)
         nu_g = exp.nu_value
-        if Fraction(nu_g).denominator != 1:
+        if nu_g.denominator != 1:
             raise MalformedInput("non-integral truncation of g: e = 1 violated")
-        b = Fraction(1, chain.ctx.p ** int(nu_g)) if nu_g >= 0 else \
-            Fraction(chain.ctx.p) ** int(-nu_g)
-        qpoly = exp.as_xpoly() * b
+        b = Fraction(1, chain.ctx.p ** nu_g) if nu_g >= 0 else Fraction(chain.ctx.p ** -nu_g)
+        qpoly = exp.poly * b
         lvl = seg.level(IMAX, i)
         gen = RelationGen("I2", IMAX, i, b, qpoly, lvl, None)
     else:
-        if (i, ell, "imm") not in seg.succ_pairs:
+        if i not in seg.q_of or ell != i + 1 or ell not in seg.q_of:
             raise MalformedInput(f"({ell}, {i}) is not a successor pair")
         if not strongly_monic(chain, ell, i)[0]:
             raise MalformedInput(f"Q_{ell} is not strongly Q_{i}-monic")
         exp = full_expansion(chain, i, chain.entries[ell].Qt)
         r = chain.entries[ell].Q.degree // chain.entries[i].Q.degree
-        pure = ((i, r),)
-        b1 = Fraction(exp.poly.nums.get(pure, 0), exp.poly.den)
-        if not b1:
+        # Qt_ell = (a_i^r / a_ell) Qt_i^r + lower terms, both keys monic, so
+        # the pure power's numerator n1 over exp's den is positive: b = den/n1
+        nums, den = exp.poly.nums, exp.poly.den
+        n1 = nums.get(((i, r),), 0)
+        if n1 <= 0:
             raise AssertionError("pure power term missing despite strong monicity")
-        if pval(chain.ctx, b1) != exp.nu_value:
+        p = chain.ctx.p
+        if _intval(p, n1) - _intval(p, den) != exp.nu_value:
             raise AssertionError("pure power term does not attain the minimum")
-        b = 1 / b1
-        qpoly = exp.as_xpoly() * b
+        b = Fraction(den, n1)
+        qpoly = XPoly._make(nums, n1)
+        rel = XPoly._make({((ell, 1),): den, **{m: -c for m, c in nums.items()}}, n1)
         lvl = seg.level(ell, i)
-        gen = RelationGen("I1", ell, i, b, qpoly, lvl,
-                          XPoly.var(ell) * b - qpoly)
+        gen = RelationGen("I1", ell, i, b, qpoly, lvl, rel)
     if mu0(chain.ctx, gen.Q_poly) != 0:
         raise AssertionError("relation body fails mu0 = 0")
     return gen

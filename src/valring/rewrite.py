@@ -10,7 +10,6 @@ output = input + sum(cofactor * relation generator) syntactically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import UniPoly
 from .errors import MalformedInput, StepCapExceeded
@@ -25,10 +24,12 @@ INCOMPARABLE = "incomparable"
 
 
 def _check_positions(chain: KeyChain, F: XPoly):
-    star = set(chain.star_positions)
-    for k in F.variables():
-        if k not in star:
-            raise MalformedInput(f"variable X_{k} out of range for this chain")
+    """Every variable of F is a star position 0 .. n - 1; a monomial lists
+    its positions in increasing order, so its ends decide."""
+    n = len(chain.entries) - chain.complete
+    if any(m and (m[0][0] < 0 or m[-1][0] >= n) for m in F.nums):
+        k = min(k for k in F.variables() if not 0 <= k < n)
+        raise MalformedInput(f"variable X_{k} out of range for this chain")
 
 
 def vdeg(chain: KeyChain, F: XPoly) -> int:
@@ -95,22 +96,21 @@ def is_neat(chain: KeyChain, F: XPoly) -> NeatReport:
     vars_ = F.variables()
     note = None
     level = 0
-    for pl in seg.plateaus:
-        hits = [k for k in vars_ if k in pl.positions]
-        if len(hits) > 1:
+    prev = None
+    for k in vars_:  # increasing, so a plateau's hits are consecutive
+        q = seg.q_of[k]
+        pl = seg.plateaus[q - 1]
+        if q == prev:
             if pl.flag == "truncated-infinite":
                 return NeatReport(False, 0, "two variables in an infinite plateau")
             note = "neat under collapsed indexing"
-        if hits and pl.flag == "truncated-infinite":
-            level = hits[0] - pl.first  # the only infinite plateau is the last
-    if vars_:
-        top = max(vars_)
-        for k in vars_:
-            if k == top:
-                continue
-            dk = chain.entries[k].Q.degree
-            if not F.degree_in(k) < Fraction(seg.n_plus[dk], dk):
-                return NeatReport(False, 0, f"exponent bound fails at X_{k}")
+        elif pl.flag == "truncated-infinite":
+            level = k - pl.first  # the only infinite plateau is the last
+        prev = q
+    for k in vars_[:-1]:
+        dk = chain.entries[k].Q.degree
+        if not F.degree_in(k) * dk < seg.n_plus[dk]:
+            return NeatReport(False, 0, f"exponent bound fails at X_{k}")
     return NeatReport(True, level, note)
 
 

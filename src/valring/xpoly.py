@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .algebra import UniPoly, _QPoly, _as_fraction, _intval, _set
+from .algebra import UniPoly, _QPoly, _as_fraction, _iconv, _intval, _set
 
 Monom = tuple
 
@@ -206,19 +206,29 @@ class XPoly(_QPoly):
 
         `powers`, when given, is a dict pos -> [images[pos]^v for v = 0, 1,
         ...] that is read and extended in place (see `extend_powers`), so
-        callers evaluating against the same images share one table."""
+        callers evaluating against the same images share one table.  Each
+        term's numerators multiply into its cached powers on int lists, and
+        the terms sum into one list over the lcm of their denominators."""
         if powers is None:
             powers = {}
-        total = UniPoly()
+        terms = []
         for m, c in self.nums.items():
-            term = UniPoly._raw((c,), 1)
+            nums, den = [c], 1
             for k, v in m:
                 pk = powers.get(k)
                 if pk is None:
                     pk = powers[k] = [UniPoly._raw((1,), 1), images[k]]
-                term = term * extend_powers(pk, v)[v]
-            total = total + term
-        return total / self.den
+                pv = extend_powers(pk, v)[v]
+                nums = _iconv(nums, pv.nums) if len(nums) > 1 else [nums[0] * x for x in pv.nums]
+                den *= pv.den
+            terms.append((nums, den))
+        den = lcm(*(d for _, d in terms))
+        acc = [0] * max((len(t) for t, _ in terms), default=0)
+        for nums, d in terms:
+            s = den // d
+            for j, x in enumerate(nums):
+                acc[j] += x * s
+        return UniPoly._make(acc, den * self.den)
 
     def to_unipoly(self, pos: int) -> UniPoly:
         """View a polynomial supported on the single variable X_pos as a
@@ -265,8 +275,11 @@ def _monom_key(m: Monom):
     descending key: the exponent at each position in turn."""
     if not m:
         return ()
-    top = m[-1][0]
-    return tuple(monom_degree_in(m, k) for k in range(top + 1))
+    key = [0] * (m[-1][0] + 1)
+    for k, v in m:
+        if k >= 0:
+            key[k] = v
+    return tuple(key)
 
 
 def mu0(ctx, F: XPoly):

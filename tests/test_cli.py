@@ -413,6 +413,19 @@ class TestMainExitCodes:
         assert time.perf_counter() - start < 0.4
         assert json.loads(capsys.readouterr().out)["error"] == "not-in-ideal"
 
+    X5X7 = {"c": 1, "e": {"5": 1, "7": 1}}
+
+    @pytest.mark.parametrize("command", ["member", "build", "reduce"])
+    @pytest.mark.parametrize("xpoly", [[X5X7], [{"c": 1, "e": {"9": 1}}, X5X7]])
+    def test_out_of_range_names_smallest_position(self, tmp_path, capsys, command, xpoly):
+        # context A has star positions 0..2: the message names the smallest
+        # stray position over all monomials, not the first or largest seen
+        doc = {**EXA, "payload": {"xpoly": xpoly}}
+        assert main(["--config", self.write(tmp_path, doc), "--command", command]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"error": "malformed-input",
+                       "message": "variable X_5 out of range for this chain"}
+
     def test_image_degree_bound_is_inclusive(self, tmp_path, capsys):
         # deg Qt_1 = 1 on x^2 + 3: X_1^256 has image degree 256, X_1^257 257
         doc = {**EXA, "payload": {"xpoly": [{"c": 1, "e": {"1": 256}}]}}
