@@ -20,7 +20,7 @@ from math import gcd
 
 from .algebra import INF, UniPoly, ValuedFieldCtx
 from .errors import MalformedInput, MathRejection
-from .expandval import full_expansion, truncate
+from .expandval import full_expansion, truncations
 from .keychain import (KeyChain, build_chain, segment, validate,
                        validation_passed)
 from .presentrel import ideal_generators, redundancy_cofactor
@@ -351,9 +351,8 @@ def run(command: str, config: JobConfig, trace: bool = False) -> dict:
         return present_doc(chain)
     if command == "eval":
         f = parse_unipoly(_payload_field(config, "poly"))
-        table = {}
-        for i in chain.star_positions:
-            table[str(i)] = fmt_value(truncate(chain, i, f))
+        table = {str(i): fmt_value(v)
+                 for i, v in zip(chain.star_positions, truncations(chain, f))}
         nu = chain.nu(f)
         return {"truncations": table, "nu": fmt_value(nu.value), "method": nu.method}
     if command == "expand":
@@ -438,7 +437,7 @@ def check_doc(chain: KeyChain, config: JobConfig) -> dict:
         f = UniPoly([rng.randrange(-64, 65) for _ in range(degg + 1)])
         if f.is_zero:
             continue
-        vals = [truncate(chain, i, f) for i in chain.star_positions]
+        vals = truncations(chain, f)
         nu = chain.nu(f).value
         seq = vals + [nu]
         if all(a <= b for a, b in zip(seq, seq[1:])):
@@ -446,7 +445,7 @@ def check_doc(chain: KeyChain, config: JobConfig) -> dict:
         else:
             mono_bad += 1
         try:
-            completeness_probe(chain, f)
+            completeness_probe(chain, f, vals)
             probe_ok += 1
         except MathRejection:
             probe_insufficient += 1
@@ -489,10 +488,14 @@ def main(argv=None) -> int:
         text = serialize({"error": e.reason, "message": str(e)})
         status = 1 if isinstance(e, MalformedInput) else 2
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+            return status
+        except OSError as e:
+            status, text = 1, serialize({"error": MalformedInput.reason,
+                                         "message": f"cannot write output: {e}"})
+    sys.stdout.write(text)
     return status
 
 

@@ -17,20 +17,21 @@ ORACLE = "oracle"
 RECURSIVE = "recursive"
 
 
-def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
+def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str, vden=None) -> dict:
     """{j: nu(f_j) + j*gamma_i} over the nonzero terms of the Q_i-expansion.
 
     The expansion runs on f's numerators (the key is monic integral), so
     digit j is d_j / den.  A constant digit's value is v_p of its
     numerators; on the recursive route the chain-internal evaluator
-    answers the other digits, else the oracle does."""
+    answers the other digits, else the oracle does.  vden, if given, is v_p(f.den)."""
     ent = chain.entry(i)
     gamma = ent.gamma
     if gamma is INF:
         raise MalformedInput(f"{what} needs a position of finite value")
     p = chain.ctx.p
     top = len(chain.entries) - 1
-    vden = _intval(p, f.den)
+    if vden is None:
+        vden = _intval(p, f.den)
     out = {}
     for j, d in enumerate(_iexpand(f.nums, ent.Q.nums)):
         if not d:
@@ -52,6 +53,13 @@ def truncate(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE):
     chain-internal recursive evaluator is the cross-checking route.
     """
     return min(_line(chain, i, f, method, "truncation").values(), default=INF)
+
+
+def truncations(chain: KeyChain, f: UniPoly, method: str = ORACLE) -> list:
+    """`truncate` at every star position, in order, reading v_p(f.den) once."""
+    vden = _intval(chain.ctx.p, f.den)
+    return [min(_line(chain, i, f, method, "truncation", vden).values(), default=INF)
+            for i in chain.star_positions]
 
 
 @dataclass(frozen=True)

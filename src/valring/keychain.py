@@ -67,8 +67,9 @@ class ChainEntry:
 
 
 def _entry(ctx: ValuedFieldCtx, position: int, Q: UniPoly, gamma: int) -> ChainEntry:
+    # Q is monic integral, so its numerators over a are in lowest terms
     a = ctx.p ** gamma
-    return ChainEntry(position, Q, gamma, a, UniPoly._make(list(Q.nums), Q.den * a))
+    return ChainEntry(position, Q, gamma, a, UniPoly._raw(Q.nums, a))
 
 
 @dataclass(frozen=True)
@@ -112,16 +113,21 @@ class KeyChain:
     def ivalue(self, k: int, nums):
         """`value_below` of the integer polynomial with nonempty numerator
         list nums: skip the entries of infinite value or of degree above
-        deg f, expand in the first other key, recurse on the nonzero digits
-        below it and take v_p at constants."""
+        deg f, expand in the first other key, recurse on the nonconstant
+        digits below it and take v_p at constants."""
         n = len(nums)
         while n > 1 and k >= 0:
             ent = self.entries[k]
             qn = ent.Q.nums
             if n >= len(qn) and ent.gamma is not INF:
-                gamma = ent.gamma
-                return min(self.ivalue(k - 1, d) + j * gamma
-                           for j, d in enumerate(_iexpand(nums, qn)) if d)
+                gamma, p, best = ent.gamma, self.ctx.p, None
+                for j, d in enumerate(_iexpand(nums, qn)):
+                    if d:
+                        v = j * gamma + (_intval(p, d[0]) if len(d) == 1
+                                         else self.ivalue(k - 1, d))
+                        if best is None or v < best:
+                            best = v
+                return best
             k -= 1
         if n > 1:
             raise AssertionError("nonconstant reached the base of the evaluator")
@@ -131,7 +137,9 @@ class KeyChain:
         """{j: ivalue(k, d_j) + j*gamma} over the nonzero int digits d_j of
         an expansion in a key of value gamma: the points of its Newton
         polygon, raised along slope -gamma."""
-        return {j: self.ivalue(k, d) + j * gamma for j, d in enumerate(digits) if d}
+        p = self.ctx.p
+        return {j: (_intval(p, d[0]) if len(d) == 1 else self.ivalue(k, d)) + j * gamma
+                for j, d in enumerate(digits) if d}
 
     def resval(self, k: int, nums, den: int):
         """(value, residue, field) of the polynomial f with numerator list

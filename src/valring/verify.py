@@ -84,10 +84,11 @@ def check_relations(chain: KeyChain):
     return out
 
 
-def completeness_probe(chain: KeyChain, f: UniPoly):
+def completeness_probe(chain: KeyChain, f: UniPoly, vals=None):
     """Position of a chain element q with deg q <= deg f whose truncation
     computes nu(f), or an insufficient-depth report on shallow prefixes.
-    Constants are trivially witnessed by the first entry."""
+    Constants are trivially witnessed by the first entry.  vals, when
+    given, is `truncations(chain, f)`, read instead of computed again."""
     if f.is_zero:
         raise MalformedInput("probe of the zero polynomial")
     if f.degree == 0:
@@ -96,7 +97,7 @@ def completeness_probe(chain: KeyChain, f: UniPoly):
     for i in chain.star_positions:
         if chain.entries[i].Q.degree > f.degree:
             continue
-        if truncate(chain, i, f) == target:
+        if (truncate(chain, i, f) if vals is None else vals[i]) == target:
             return i
     if chain.complete and chain.g.degree <= f.degree:
         # nu_g(f) = nu(f mod g) = nu(f): the last key always witnesses here

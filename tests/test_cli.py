@@ -567,6 +567,16 @@ class TestMainExitCodes:
                      "--output", str(out)]) == 0
         assert json.loads(out.read_text())["I2"]
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_output_exit1(self, tmp_path, capsys, target):
+        path = self.write(tmp_path, EXA)
+        out = tmp_path / "missing" / "out.json" if target == "missing-directory" else tmp_path
+        assert main(["--config", path, "--command", "chain", "--output", str(out)]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["error"] == "malformed-input"
+        assert doc["message"].startswith("cannot write output")
+        assert not (tmp_path / "missing").exists()
+
 
 class TestDeterminism:
     def test_identical_configs_identical_bytes(self, tmp_path):
