@@ -628,8 +628,7 @@ def nu_oracle(ctx: ValuedFieldCtx, g: UniPoly, branch: BranchDescriptor, h: UniP
     divides h, or, for a reducible g, when h vanishes at the branch root.
 
     root_cache, when given, keeps the branch's deepest Hensel root
-    approximation and whether g is squarefree across calls; it never
-    changes a result.
+    approximation across calls; it never changes a result.
     """
     if not g.is_monic or g.degree < 1:
         raise MalformedInput("g must be monic nonconstant")
@@ -655,31 +654,11 @@ def _monic_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return f / f.coeff(f.degree)
 
 
-def _hensel_bound(ctx: ValuedFieldCtx, g: UniPoly, hh: UniPoly):
-    """(bound, common): v(H(eta)) <= bound = v_p(Res(g, H)), H = hh, as the
-    other conjugates add nonnegative valuation.  If a reducible g shares
-    common = gcd(g, H) with H, eta is a root of g / common unless H(eta) = 0;
-    at the precision cap a finite value of g / common at eta proves that."""
-    bound = pval(ctx, resultant(g, hh))
-    common = None
-    if bound is INF:
-        common = _monic_gcd(g, hh)
-        bound = pval(ctx, resultant(g // common, hh))
-        if bound is INF:
-            raise OracleUnavailable("resultant bound degenerate: g and h share a factor")
-    return bound, common
-
-
 def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
                cache: dict):
-    hh = UniPoly._raw(h.nums, 1)
-    # only a repeated factor of g makes the bound degenerate, so for a
-    # squarefree g the bound waits until the root fails to certify
-    squarefree = cache.get("squarefree")
-    if squarefree is None:
-        squarefree = cache["squarefree"] = _monic_gcd(g, g.derivative()).degree == 0
-    bound, common = (None, None) if squarefree else _hensel_bound(ctx, g, hh)
-    margin = 2
+    # eta == r mod p^n and h's numerators are integers, so v(h(r)) < n is
+    # v(h(eta)); the bound is built only when the root does not certify
+    margin, bound = 2, None
     root = cache.get("hensel_root")
     if root is None:
         root = hensel_root(ctx, g, seed, max(seed.precision + 2, 8))
@@ -692,7 +671,18 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
         if val is not INF and val < n - margin:
             return val - _intval(ctx.p, h.den)
         if bound is None:
-            bound, common = _hensel_bound(ctx, g, hh)
+            # v(H(eta)) <= v_p(Res(g, H)), H = h's numerators, as the other
+            # conjugates add nonnegative valuation.  If a reducible g shares
+            # common = gcd(g, H) with H, eta is a root of g / common unless
+            # H(eta) = 0; at the cap a finite value of g / common at eta
+            # proves that
+            hh, common = UniPoly._raw(h.nums, 1), None
+            bound = pval(ctx, resultant(g, hh))
+            if bound is INF:
+                common = _monic_gcd(g, hh)
+                bound = pval(ctx, resultant(g // common, hh))
+                if bound is INF:
+                    raise OracleUnavailable("resultant bound degenerate: g and h share a factor")
         if n > int(bound) + margin + 8:
             if common is not None and is_finite(_nu_hensel(ctx, g, seed, g // common, cache)):
                 return INF

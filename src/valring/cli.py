@@ -294,8 +294,9 @@ def chain_doc(chain: KeyChain) -> dict:
         } for p in seg.plateaus],
         "n_plus": {str(k): v for k, v in seg.n_plus.items()},
         "successor_pairs": [{"i": i, "ell": str(ell), "kind": kind,
-                             "level": seg.level(ell, i),
-                             "neat": seg.is_neat_pair(ell, i)}
+                             "level": seg.offset(i),
+                             # every pair is neat: see `segment`'s invariant
+                             "neat": True}
                             for (i, ell, kind) in seg.succ_pairs],
         "validation": [{"name": c.name, "subject": str(c.subject),
                         "passed": c.passed} for c in report],
@@ -469,15 +470,22 @@ def _read_config(path: str) -> str:
         raise MalformedInput(f"cannot read config: {e}") from None
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise MalformedInput(f"bad command line: {message}")
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(prog="valring")
+    ap = _ArgumentParser(prog="valring")
     ap.add_argument("--config", required=True)
     ap.add_argument("--command", required=True)
     ap.add_argument("--output")
     ap.add_argument("--trace", action="store_true")
     ap.add_argument("--seed", type=int)
-    args = ap.parse_args(argv)
+    output = None
     try:
+        args = ap.parse_args(argv)
+        output = args.output
         config = JobConfig(deserialize(_read_config(args.config)))
         if args.seed is not None:
             config.seed = args.seed
@@ -487,9 +495,9 @@ def main(argv=None) -> int:
     except (MalformedInput, MathRejection) as e:
         text = serialize({"error": e.reason, "message": str(e)})
         status = 1 if isinstance(e, MalformedInput) else 2
-    if args.output:
+    if output:
         try:
-            with open(args.output, "w") as fh:
+            with open(output, "w") as fh:
                 fh.write(text)
             return status
         except OSError as e:

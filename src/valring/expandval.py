@@ -17,21 +17,20 @@ ORACLE = "oracle"
 RECURSIVE = "recursive"
 
 
-def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str, vden=None) -> dict:
+def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
     """{j: nu(f_j) + j*gamma_i} over the nonzero terms of the Q_i-expansion.
 
     The expansion runs on f's numerators (the key is monic integral), so
     digit j is d_j / den.  A constant digit's value is v_p of its
     numerators; on the recursive route the chain-internal evaluator
-    answers the other digits, else the oracle does.  vden, if given, is v_p(f.den)."""
+    answers the other digits, else the oracle does."""
     ent = chain.entry(i)
     gamma = ent.gamma
     if gamma is INF:
         raise MalformedInput(f"{what} needs a position of finite value")
     p = chain.ctx.p
     top = len(chain.entries) - 1
-    if vden is None:
-        vden = _intval(p, f.den)
+    vden = _intval(p, f.den)
     out = {}
     for j, d in enumerate(_iexpand(f.nums, ent.Q.nums)):
         if not d:
@@ -56,10 +55,8 @@ def truncate(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE):
 
 
 def truncations(chain: KeyChain, f: UniPoly, method: str = ORACLE) -> list:
-    """`truncate` at every star position, in order, reading v_p(f.den) once."""
-    vden = _intval(chain.ctx.p, f.den)
-    return [min(_line(chain, i, f, method, "truncation", vden).values(), default=INF)
-            for i in chain.star_positions]
+    """`truncate` at every star position, in order."""
+    return [truncate(chain, i, f, method) for i in chain.star_positions]
 
 
 @dataclass(frozen=True)

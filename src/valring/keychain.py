@@ -113,21 +113,14 @@ class KeyChain:
     def ivalue(self, k: int, nums):
         """`value_below` of the integer polynomial with nonempty numerator
         list nums: skip the entries of infinite value or of degree above
-        deg f, expand in the first other key, recurse on the nonconstant
-        digits below it and take v_p at constants."""
+        deg f, expand in the first other key and take the least of its
+        value line below it; v_p at a constant."""
         n = len(nums)
         while n > 1 and k >= 0:
             ent = self.entries[k]
             qn = ent.Q.nums
             if n >= len(qn) and ent.gamma is not INF:
-                gamma, p, best = ent.gamma, self.ctx.p, None
-                for j, d in enumerate(_iexpand(nums, qn)):
-                    if d:
-                        v = j * gamma + (_intval(p, d[0]) if len(d) == 1
-                                         else self.ivalue(k - 1, d))
-                        if best is None or v < best:
-                            best = v
-                return best
+                return min(self.value_line(k - 1, _iexpand(nums, qn), ent.gamma).values())
             k -= 1
         if n > 1:
             raise AssertionError("nonconstant reached the base of the evaluator")
@@ -586,17 +579,9 @@ class Segmentation:
         return self.plateaus[self.q_of[i] - 1]
 
     def offset(self, i: int) -> int:
+        """i's offset in its plateau: the level s(ell, i) of every successor
+        pair (i, ell), since ell is i + 1 or IMAX (see `segment`)."""
         return i - self.plateau_of(i).first
-
-    def level(self, ell, i) -> int:
-        """s(ell, i) for a successor pair: the offset of i, since ell is
-        i + 1 or IMAX (see `segment`)."""
-        return self.offset(i)
-
-    def is_neat_pair(self, ell, i) -> bool:
-        """Every successor pair is neat: a limit pair across two infinite
-        plateaus, the only kind that can fail, never occurs (see `segment`)."""
-        return True
 
 
 def segment(chain: KeyChain) -> Segmentation:

@@ -61,8 +61,7 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
             raise MalformedInput("non-integral truncation of g: e = 1 violated")
         b = Fraction(1, chain.ctx.p ** nu_g) if nu_g >= 0 else Fraction(chain.ctx.p ** -nu_g)
         qpoly = exp.poly * b
-        lvl = seg.level(IMAX, i)
-        gen = RelationGen("I2", IMAX, i, b, qpoly, lvl, None)
+        gen = RelationGen("I2", IMAX, i, b, qpoly, seg.offset(i), None)
     else:
         if i not in seg.q_of or ell != i + 1 or ell not in seg.q_of:
             raise MalformedInput(f"({ell}, {i}) is not a successor pair")
@@ -82,8 +81,7 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
         b = Fraction(den, n1)
         qpoly = XPoly._make(nums, n1)
         rel = XPoly._make({((ell, 1),): den, **{m: -c for m, c in nums.items()}}, n1)
-        lvl = seg.level(ell, i)
-        gen = RelationGen("I1", ell, i, b, qpoly, lvl, rel)
+        gen = RelationGen("I1", ell, i, b, qpoly, seg.offset(i), rel)
     if mu0(chain.ctx, gen.Q_poly) != 0:
         raise AssertionError("relation body fails mu0 = 0")
     return gen

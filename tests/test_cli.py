@@ -328,6 +328,16 @@ class TestMainExitCodes:
         out = json.loads(capsys.readouterr().out)
         assert (out["nu"], out["method"]) == ("0", "hensel")
 
+    def test_oracle_on_repeated_factor_reads_the_root(self, tmp_path, capsys):
+        # g = (x - 2)^2 (x^2 - 11) and eta = 1 mod 5, so v(eta - 2) = 0: the
+        # root certifies it although Res(g / gcd(g, x - 2), x - 2) = 0
+        doc = {"p": 5, "g": [-44, 44, -7, -4, 1], "branch": [[0, 0]], "depth": 8,
+               "payload": {"poly": [-2, 1]}}
+        path = self.write(tmp_path, doc)
+        assert main(["--config", path, "--command", "eval"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["nu"], out["method"]) == ("0", "hensel")
+
     def test_member_collapsed_i2_body(self, tmp_path, capsys):
         # collapsed context A: X_0 = Qt_0 = (x + 1)/2 and X_0^2 - X_0 + 1 -> g/4
         doc = {**EXA, "mode": "collapsed", "payload": {"xpoly": [
@@ -576,6 +586,25 @@ class TestMainExitCodes:
         assert doc["error"] == "malformed-input"
         assert doc["message"].startswith("cannot write output")
         assert not (tmp_path / "missing").exists()
+
+    @pytest.mark.parametrize("args, says", [
+        (["--seed", "abc"], "invalid int value"),
+        ([], "required: --config"),
+        (["--bogus", "1"], "unrecognized arguments"),
+    ])
+    def test_malformed_command_line_exit1(self, tmp_path, capsys, args, says):
+        config = [] if not args else ["--config", self.write(tmp_path, EXA)]
+        assert main(config + ["--command", "chain"] + args) == 1
+        out = capsys.readouterr()
+        doc = json.loads(out.out)
+        assert doc["error"] == "malformed-input" and says in doc["message"]
+        assert out.err == ""
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: valring" in capsys.readouterr().out
 
 
 class TestDeterminism:

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from valring.algebra import INF, UniPoly, pval
+import valring.expandval as expandval
+from valring.algebra import INF, UniPoly, ValuedFieldCtx, pval
 from valring.errors import InsufficientDepth, MalformedInput
 from valring.expandval import (check_conditions, expansion_from_index_tuple,
                                expansion_level, full_expansion, make_neat,
                                s_set, truncate)
+from valring.keychain import build_chain
 from valring.xpoly import XPoly
 
 from conftest import CTX2, GA, GC, GD, rand_unipoly
@@ -23,6 +25,22 @@ class TestTruncate:
 
     def test_zero(self, chain_a):
         assert truncate(chain_a, 0, UniPoly()) is INF
+
+    def test_row_calls_truncate_per_position(self, monkeypatch):
+        # the row reads `truncate` from the module's globals, so a counting
+        # wrapper bound there (as a tracer binds it) sees every truncation
+        chain = build_chain(ValuedFieldCtx(2), UniPoly((7, 0, 1)), [[0, 0]], 24)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return truncate(*args)
+
+        monkeypatch.setattr(expandval, "truncate", counted)
+        for method in ("oracle", "recursive"):
+            calls.clear()
+            row = expandval.truncations(chain, UniPoly((5, -3, 7)), method)
+            assert calls == chain.star_positions and len(row) == 24
 
     def test_agrees_with_recursive_evaluator(self, all_chains):
         rng = random.Random(11)

@@ -232,22 +232,20 @@ class TestSegmentation:
         seg = segment(chain_a)
         assert [(p.degree, p.positions, p.flag) for p in seg.plateaus] == [
             (1, (0, 1), "finite-multi"), (2, (2,), "singleton")]
-        assert seg.level(1, 0) == 0
-        assert seg.level(IMAX, 1) == 1
-        assert seg.is_neat_pair(1, 0)
+        assert seg.offset(0) == 0
+        assert seg.offset(1) == 1
         assert seg.n_plus == {1: 2, 2: 2}
 
     def test_exc(self, chain_c):
         seg = segment(chain_c)
         assert [(p.degree, p.flag) for p in seg.plateaus] == [(1, "truncated-infinite")]
-        assert [seg.level(i + 1, i) for i in range(3)] == [0, 1, 2]
+        assert [seg.offset(i) for i in range(3)] == [0, 1, 2]
         assert seg.imax_sources == (0, 1, 2, 3)
-        assert all(seg.is_neat_pair(IMAX, i) for i in range(4))
 
     def test_exb(self, chain_b):
         seg = segment(chain_b)
         assert [p.flag for p in seg.plateaus] == ["singleton", "singleton"]
-        assert seg.level(IMAX, 0) == 0
+        assert seg.offset(0) == 0
 
 
 DEEP_BRANCHES = [

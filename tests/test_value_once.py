@@ -6,11 +6,12 @@ that `eval` and `check` read; it must equal `truncate` position by position.
 find the same witness, or raise the same rejection, as when it computes its
 own truncations.  `algebra._nu_hensel` evaluates h at the cached root first
 and builds the resultant bound only when the root does not certify the
-value, for a squarefree g; the reference below is the bound-first oracle it
-replaced, and both must return the same `OracleValue` or raise the same
-refusal.  The chains are those of `test_value_cascade`: the worked contexts
-A-D (full and collapsed), the six deep branches of the benchmark and a
-seeded sample of random generators.
+value; the reference below is the bound-first oracle it replaced, and both
+must return the same `OracleValue` or raise the same refusal, except where
+the bound is degenerate and the root certifies the value.  The chains are
+those of `test_value_cascade`: the worked contexts A-D (full and
+collapsed), the six deep branches of the benchmark and a seeded sample of
+random generators.
 """
 
 import random
@@ -142,6 +143,17 @@ def oracle_outcome(fn, *args):
         return type(e).__name__, str(e)
 
 
+DEGENERATE = ("OracleUnavailable", "resultant bound degenerate: g and h share a factor")
+
+
+def ref_outcome(ctx, g, branch, h, cache):
+    """The bound-first oracle's outcome, but where it refuses a degenerate
+    bound (only g = (x - 1)^2 (x - 3), seeded at its exact root eta = 3)
+    the value v_5(h(3)), which the root certifies."""
+    got = oracle_outcome(ref_oracle, ctx, g, branch, h, cache)
+    return OracleValue(pval(ctx, h(3)), "hensel") if got == DEGENERATE else got
+
+
 def _hensel_cases():
     """(ctx, g, branch): the deep branches, whose g is squarefree and
     irreducible over Q; a squarefree reducible g on each of its roots; and a
@@ -178,7 +190,7 @@ def test_root_first_oracle_matches_bound_first(case, h, times):
     if factors and times:
         h = h * factors[times % len(factors)]
     got = oracle_outcome(nu_oracle, ctx, g, branch, h, {})
-    assert got == oracle_outcome(ref_oracle, ctx, g, branch, h, {}), (g, branch, h)
+    assert got == ref_outcome(ctx, g, branch, h, {}), (g, branch, h)
 
 
 def test_root_first_oracle_with_shared_caches():
@@ -191,21 +203,24 @@ def test_root_first_oracle_with_shared_caches():
                          for _ in range(rng.randrange(1, 5))])
             for h in (f, f * X ** rng.randrange(0, 3)) + tuple(f * q for q in _factors(g)):
                 got = oracle_outcome(nu_oracle, ctx, g, branch, h, new)
-                assert got == oracle_outcome(ref_oracle, ctx, g, branch, h, old), (g, h)
-        assert new["squarefree"] == (g != (X - 1) ** 2 * (X - 3))
+                assert got == ref_outcome(ctx, g, branch, h, old), (g, h)
 
 
-def test_repeated_factor_keeps_the_bound_first():
-    # g = (x - 1)^2 (x - 3) has a root 3 mod 5, where x - 1 is a unit; but
-    # Res(g / gcd(g, x - 1), x - 1) = 0, so the bound is degenerate and the
-    # oracle refuses, as the bound-first oracle does, even with a root cached
+def test_repeated_factor_reads_the_exact_root():
+    # g = (x - 1)^2 (x - 3) seeded at 3 has the exact root eta = 3, where
+    # x - 1 is a unit: the root certifies nu(x - 1) = v_5(2) = 0 although
+    # Res(g / gcd(g, x - 1), x - 1) = 0 makes the bound degenerate.  h =
+    # (x - 1)(x - 3) vanishes at the root and its bound is degenerate too,
+    # so the oracle refuses it
     ctx, g = ValuedFieldCtx(5), (X - 1) ** 2 * (X - 3)
     branch = BranchDescriptor("hensel", ResidueClass(3, 1))
     cache = {}
     assert nu_oracle(ctx, g, branch, X, cache) == OracleValue(0, "hensel")
-    assert "hensel_root" in cache and cache["squarefree"] is False
+    assert cache["hensel_root"].value == 3
+    assert nu_oracle(ctx, g, branch, X - 1, cache) == \
+        OracleValue(pval(ctx, 2), "hensel") == OracleValue(0, "hensel")
     with pytest.raises(OracleUnavailable, match="resultant bound degenerate"):
-        nu_oracle(ctx, g, branch, X - 1, cache)
+        nu_oracle(ctx, g, branch, (X - 1) * (X - 3), cache)
 
 
 def test_check_on_deep_branches_builds_few_resultants(monkeypatch):
