@@ -496,6 +496,50 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
     return out
 
 
+def _one_root(chain: KeyChain) -> bool:
+    """Whether the top key is x - c with gamma >= 1, deg g >= 2 and g's value
+    line least at indices 0 and 1 only: then g has exactly one root eta with
+    v(eta - c) >= gamma, and v(eta - c) = gamma."""
+    top = chain.entries[-1]
+    if top.Q.degree != 1 or top.gamma < 1 or chain.g.degree < 2:
+        return False
+    line = _g_expansion(chain)[1]
+    m = min(line.values())
+    return [j for j, v in line.items() if v == m] == [0, 1]
+
+
+def _hensel_tail(chain: KeyChain, depth: int) -> KeyChain:
+    """The rest of a `_one_root` chain up to `depth` keys, each one more
+    digit of eta, plus `augment`'s test of the candidate past `depth`.  Each
+    step is forced, so no pick is consumed: the residual polynomial r0 + r1 y
+    (residues of g(c), g'(c)) is linear, c' = c + z p^gamma with z = -r0/r1
+    as in `_refine_key`, and eta is the one root with v(eta - c') > gamma,
+    so the one admissible slope is the polygon's first edge at c', gamma' =
+    v(g(c')) - v(g'(c')), and the line at c' is again least at 0, 1 only."""
+    p, g = chain.ctx.p, chain.g
+    fld = chain.entries[-2].res_field
+    entries = list(chain.entries)
+    digits, line = _g_expansion(chain)
+    v0, v1 = line[0], line[1] - entries[-1].gamma
+    while True:
+        top = entries[-1]
+        gamma = top.gamma
+        z = -(digits[0][0] // p ** v0) * pow(digits[1][0] // p ** v1, -1, p) % p
+        key = UniPoly._raw((-((-top.Q.nums[0] + z * p ** gamma) % p ** (gamma + 1)), 1), 1)
+        nxt = _iexpand(g.nums, key.nums)
+        if not nxt[0]:
+            raise MalformedInput("candidate key divides g; g is reducible")
+        if len(entries) >= depth:
+            break
+        entries[-1] = ChainEntry(top.position, top.Q, gamma, top.a, top.Qt, fld, z, fld.gen)
+        digits, v0, v1 = nxt, _intval(p, nxt[0][0]), _intval(p, nxt[1][0])
+        entries.append(_entry(chain.ctx, top.position + 1, key, v0 - v1))
+    out = KeyChain(chain.ctx, g, tuple(entries), chain.status, chain.mode, chain.branch_log)
+    out.cache()["g_expansion"] = (digits, {j: _intval(p, d[0]) + j * top.gamma
+                                           for j, d in enumerate(digits) if d})
+    return out
+
+
 def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
                 depth: int = 16, mode: str = FULL) -> KeyChain:
     """Drive augmentation to completion or to a prefix of `depth` entries.
@@ -503,6 +547,8 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
     branch_selector is "unique" (every step must be forced) or a list of
     (slope index, factor index) pairs consumed by choiceful steps in order:
     each step is offered the next pair its chain's branch log has not used.
+    Once g has one root in the top linear key's disc (`_one_root`), each later
+    key is its next Hensel digit, written by `_hensel_tail` without `augment`.
     """
     if depth < 1:
         raise MalformedInput("depth must be >= 1")
@@ -511,6 +557,9 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
     chain = gauss_start(ctx, g)
     picks = list(branch_selector) if branch_selector != "unique" else []
     while not chain.complete:
+        if _one_root(chain):
+            chain = _hensel_tail(chain, depth)
+            break
         at_depth = len(chain.entries) >= depth
         used = len(chain.branch_log)
         try:

@@ -1,0 +1,165 @@
+"""The one-root Hensel tail of `build_chain` against step-by-step augmentation.
+
+Once the top key is x - c with gamma >= 1 and g's value line is least at
+indices 0 and 1 only, g has one root eta in the key's disc and `build_chain`
+writes the remaining keys from Hensel digits (`_hensel_tail`) instead of
+calling `augment`.  The reference below is the loop it replaced, over the
+public `augment`.  Both must give equal chains (entries with their residue
+data, status, branch log and the cached g-expansion) or the same exception
+on the six deep branches of the benchmark at depths 1-40, every config of
+the construct pool, seeded random generators and generators with two exact
+integer roots, whose reducibility rejection lands inside the tail, at the
+depth and one step past it.  The deep chains' keys are also checked against
+`hensel_root`: c_i = eta mod p^(gamma_(i-1) + 1) and gamma_i = v(eta - c_i).
+"""
+
+import json
+import random
+from functools import cache
+
+import pytest
+
+from valring.algebra import ResidueClass, UniPoly, ValuedFieldCtx, _intval, hensel_root
+from valring.cli import JobConfig
+from valring.errors import (AmbiguousBranch, InsufficientDepth, MalformedInput, MathRejection,
+                            NoConvergence)
+from valring.keychain import FULL, augment, build_chain, collapse, gauss_start
+
+from test_index_identity import _load_jobs
+from test_value_cascade import DEEP
+
+# -- the reference: the augmentation loop --------------------------------------
+
+
+def ref_build_chain(ctx, g, branch_selector="unique", depth=16, mode=FULL):
+    """`build_chain` as it ran before the tail: one `augment` per step."""
+    if depth < 1:
+        raise MalformedInput("depth must be >= 1")
+    chain = gauss_start(ctx, g)
+    picks = list(branch_selector) if branch_selector != "unique" else []
+    while not chain.complete:
+        at_depth, used = len(chain.entries) >= depth, len(chain.branch_log)
+        try:
+            nxt = augment(chain, tuple(picks[used]) if used < len(picks) else None)
+        except AmbiguousBranch:
+            if at_depth:
+                break
+            raise
+        if at_depth and not nxt.complete:
+            break
+        chain = nxt
+    if not chain.complete and chain.entries[-1].Q.degree == 1:
+        seed = chain.branch_descriptor().seed
+        try:
+            hensel_root(ctx, g, seed, seed.precision)
+        except NoConvergence:
+            raise InsufficientDepth(
+                f"depth {depth} is too shallow: the prefix pins no branch root") from None
+    return collapse(chain) if mode != FULL else chain
+
+
+def outcome(build, *args):
+    try:
+        chain = build(*args)
+    except (MathRejection, MalformedInput) as e:
+        return type(e), str(e)
+    return chain, chain.cache().get("g_expansion")
+
+
+REDUCIBLE = (MalformedInput, "candidate key divides g; g is reducible")
+
+
+def same(*args):
+    got = outcome(build_chain, *args)
+    assert got == outcome(ref_build_chain, *args), args
+    return got
+
+
+# -- the cases ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("p, g, branch", [(p, g, b) for p, g, _, bs in DEEP for b in bs])
+def test_deep_chains(p, g, branch):
+    for depth in range(1, 41):
+        chain, _ = same(ValuedFieldCtx(p), UniPoly(g), branch, depth)
+        assert chain is InsufficientDepth or len(chain.entries) == depth
+
+
+@cache
+def construct_configs():
+    jobs = _load_jobs()
+    out = []
+    for index in range(jobs.POOL_SIZE["construct"]):
+        try:
+            cfg = JobConfig(json.loads(jobs.construct_job(index).text))
+        except (MathRejection, MalformedInput):
+            continue
+        out.append((cfg.ctx, cfg.g, cfg.branch, cfg.depth, cfg.mode))
+    return out
+
+
+def test_construct_pool():
+    assert len(construct_configs()) > 100
+    for args in construct_configs():
+        same(*args)
+
+
+def test_seeded_generators(monkeypatch):
+    from valring import keychain
+    tail, calls = keychain._hensel_tail, []
+    monkeypatch.setattr(keychain, "_hensel_tail",
+                        lambda chain, depth: calls.append(depth) or tail(chain, depth))
+    rng = random.Random(20261019)
+    ran = rejected = 0
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        deg = rng.randint(2, 5)
+        c0 = 0
+        while c0 % p == 0:
+            c0 = rng.randrange(-p * p, p * p + 1)
+        g = UniPoly([c0] + [rng.randrange(-p * p, p * p + 1) for _ in range(deg - 1)] + [1])
+        picks = [rng.choice(((0, 0), (0, 0), (1, 0), (0, 1))) for _ in range(6)]
+        before = len(calls)
+        got = same(ValuedFieldCtx(p), g, picks, rng.randint(1, 12))
+        if len(calls) > before:
+            ran += 1
+            rejected += got == REDUCIBLE
+    # the tail ran on hundreds of them and rejected some as reducible
+    assert ran > 300 and rejected > 5, (ran, rejected)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("digits", [(0, 6), (0, 2, 4, 6, 8)])
+def test_exact_root_generators(p, digits):
+    # g = (x - r)(x - s), s = r + p, both roots integers: on either branch
+    # the tail meets the root after one key per nonzero digit past its
+    # start, and g(root) = 0 rejects g there.  Shallower depths return the
+    # prefix; the depth whose past-depth candidate is the root rejects, and
+    # so does every deeper one, from inside the tail
+    r = sum(p ** k for k in digits)
+    g = UniPoly((r * (r + p), -(2 * r + p), 1))
+    firsts = set()
+    for picks in ([[0, 0]] * 3, [[0, 1]] * 3, [[1, 0]] * 3):
+        row = [same(ValuedFieldCtx(p), g, picks, depth) for depth in range(2, 13)]
+        if REDUCIBLE not in row:
+            continue
+        first = row.index(REDUCIBLE)
+        assert all(len(c.entries) == depth for depth, (c, _) in enumerate(row[:first], 2))
+        assert row[first:] == [REDUCIBLE] * (len(row) - first)
+        firsts.add(first + 2)
+    assert firsts and (len(digits) == 2 or min(firsts) > 4), firsts
+
+
+# -- the maths of the tail ----------------------------------------------------------
+
+@pytest.mark.parametrize("p, g, branch", [(p, g, b) for p, g, _, bs in DEEP for b in bs])
+def test_keys_are_hensel_digits(p, g, branch):
+    ctx = ValuedFieldCtx(p)
+    chain = build_chain(ctx, UniPoly(g), branch, 40)
+    top = chain.entries[-1]
+    seed = ResidueClass(-top.Q.nums[0] % p ** top.gamma, top.gamma)
+    eta = hensel_root(ctx, chain.g, seed, top.gamma + 20).value
+    for prev, ent in zip(chain.entries, chain.entries[1:]):
+        c = -ent.Q.nums[0]
+        assert (eta - c) % p ** (prev.gamma + 1) == 0
+        assert _intval(p, eta - c) == ent.gamma
+        assert ent.gamma > prev.gamma

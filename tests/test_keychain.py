@@ -125,9 +125,11 @@ class TestAugment:
             augment(chain_a)
 
     def test_one_call_per_step(self, monkeypatch):
-        # x^2 + 7 at depth 4: three steps build the prefix, the first of them
-        # choiceful, and a fourth at depth shows that the next key only refines
+        # x^2 + 7 at depth 4: the first step is choiceful and leaves one root
+        # in the key's disc, so the rest of the prefix is its Hensel digits
+        # and augment is not called again
         from valring import keychain
+        from test_hensel_tail import ref_build_chain
         offered = []
 
         def counting(chain, branch_choice=None):
@@ -137,8 +139,10 @@ class TestAugment:
         augment = keychain.augment
         monkeypatch.setattr(keychain, "augment", counting)
         chain = build_chain(CTX2, GC, BRANCH_C, depth=4)
-        assert offered == [(0, 0), None, None, None]
+        assert offered == [(0, 0)]
         assert len(chain.entries) == 4 and len(chain.branch_log) == 1
+        monkeypatch.undo()
+        assert chain == ref_build_chain(CTX2, GC, BRANCH_C, depth=4)
 
     @pytest.mark.parametrize("g, picks", [(GA, ()), (GA, ((1, 0),)), (GC, ((0, 0),))])
     def test_choice_ignored_at_forced_step(self, g, picks):
