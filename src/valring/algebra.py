@@ -461,21 +461,28 @@ def qexpand(f: UniPoly, q: UniPoly, scale=1):
     return tuple(out)
 
 
+def _taylor(nums, t) -> list:
+    """The Taylor coefficients at t of the int list nums, as a flat int
+    list: one in-place Horner shift."""
+    nums = list(nums)
+    n = len(nums)
+    if t:
+        for i in range(n - 1):
+            acc = nums[-1]
+            for j in range(n - 2, i - 1, -1):
+                acc = nums[j] = nums[j] + t * acc
+    return nums
+
+
 def _iexpand(nums, qn) -> list:
     """The digits of the q-expansion of the int list nums, for q monic
     integral with numerators qn: int lists without trailing zeros (an empty
     list is a zero digit), one pass of synthetic divisions.  At a linear
-    key x + c the digits are the Taylor coefficients of nums at -c, from
-    one in-place Horner shift."""
-    nums = list(nums)
+    key x + c the digits are the Taylor coefficients of nums at -c
+    (`_taylor`)."""
     if len(qn) == 2:
-        t, n = -qn[0], len(nums)
-        if t:
-            for i in range(n - 1):
-                acc = nums[-1]
-                for j in range(n - 2, i - 1, -1):
-                    acc = nums[j] = nums[j] + t * acc
-        return [[c] if c else [] for c in nums]
+        return [[c] if c else [] for c in _taylor(nums, -qn[0])]
+    nums = list(nums)
     out = []
     while nums:
         quot = _idivmod(nums, qn)
@@ -976,17 +983,17 @@ class ResidueField:
         Squarefree decomposition, distinct-degree factorization and
         Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
         Modern Computer Algebra, ch. 14), with splitting polynomials drawn
-        from a generator seeded inside the call, then sorted."""
+        from a generator seeded inside the call, and built only when some
+        part splits, then sorted."""
         f = self.poly_monic(self.poly_norm(f))
         if len(f) - 1 < 1:
             return []
         if len(f) - 1 == 1:
             return [(f, 1)]
-        rng = random.Random(0)
-        out = [(fac, mult)
-               for part, mult in self._squarefree(f)
-               for d, same in self._distinct_degree(part)
-               for fac in self._equal_degree(same, d, rng)]
+        parts = [(same, d, mult) for part, mult in self._squarefree(f)
+                 for d, same in self._distinct_degree(part)]
+        rng = random.Random(0) if any(len(s) - 1 != d for s, d, _ in parts) else None
+        out = [(fac, mult) for same, d, mult in parts for fac in self._equal_degree(same, d, rng)]
         return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
 
     def _squarefree(self, f):

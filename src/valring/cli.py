@@ -34,7 +34,8 @@ COMMANDS = ("chain", "present", "eval", "expand", "build", "reduce", "member", "
 CONFIG_FIELDS = {"p", "g", "branch", "depth", "mode", "payload", "seed"}
 
 # bounds the work of build, reduce and member: the largest degree in x of a
-# payload xpoly's image under X_i -> Qt_i, its virtual degree
+# payload xpoly's image under X_i -> Qt_i, its virtual degree; and of eval
+# and expand: the degree of a payload poly, which is its own image
 MAX_IMAGE_DEGREE = 256
 # bounds the work of every command: the number of chain entries asked for
 MAX_DEPTH = 256
@@ -351,13 +352,13 @@ def run(command: str, config: JobConfig, trace: bool = False) -> dict:
     if command == "present":
         return present_doc(chain)
     if command == "eval":
-        f = parse_unipoly(_payload_field(config, "poly"))
+        f = _payload_poly(config)
         table = {str(i): fmt_value(v)
                  for i, v in zip(chain.star_positions, truncations(chain, f))}
         nu = chain.nu(f)
         return {"truncations": table, "nu": fmt_value(nu.value), "method": nu.method}
     if command == "expand":
-        f = parse_unipoly(_payload_field(config, "poly"))
+        f = _payload_poly(config)
         anchor = _payload_field(config, "anchor")
         exp = full_expansion(chain, _parse_index(anchor, "anchor"), f)
         return {
@@ -412,6 +413,14 @@ def _payload_field(config: JobConfig, name: str):
     if name not in config.payload:
         raise MalformedInput(f"payload field {name!r} missing")
     return config.payload[name]
+
+
+def _payload_poly(config: JobConfig) -> UniPoly:
+    """The payload's poly, of degree at most MAX_IMAGE_DEGREE."""
+    f = parse_unipoly(_payload_field(config, "poly"))
+    if f.degree > MAX_IMAGE_DEGREE:
+        raise MalformedInput(f"poly degree {f.degree} exceeds the bound {MAX_IMAGE_DEGREE}")
+    return f
 
 
 def _payload_xpoly(config: JobConfig, chain: KeyChain) -> XPoly:

@@ -66,10 +66,11 @@ class ChainEntry:
     emb_prev: int | None = None             # image of previous entry's field generator
 
 
-def _entry(ctx: ValuedFieldCtx, position: int, Q: UniPoly, gamma: int) -> ChainEntry:
-    # Q is monic integral, so its numerators over a are in lowest terms
+def _entry(ctx: ValuedFieldCtx, position: int, Q: UniPoly, gamma: int, *res) -> ChainEntry:
+    # res: the residue data (res_field, z, emb_prev) of a finished entry.  Q
+    # is monic integral, so its numerators over a are in lowest terms
     a = ctx.p ** gamma
-    return ChainEntry(position, Q, gamma, a, UniPoly._raw(Q.nums, a))
+    return ChainEntry(position, Q, gamma, a, UniPoly._raw(Q.nums, a), *res)
 
 
 @dataclass(frozen=True)
@@ -516,26 +517,27 @@ def _hensel_tail(chain: KeyChain, depth: int) -> KeyChain:
     as in `_refine_key`, and eta is the one root with v(eta - c') > gamma,
     so the one admissible slope is the polygon's first edge at c', gamma' =
     v(g(c')) - v(g'(c')), and the line at c' is again least at 0, 1 only."""
-    p, g = chain.ctx.p, chain.g
-    fld = chain.entries[-2].res_field
-    entries = list(chain.entries)
+    ctx, g = chain.ctx, chain.g
+    p, fld, top = ctx.p, chain.entries[-2].res_field, chain.entries[-1]
+    entries = list(chain.entries[:-1])
+    # the top key's fields, carried as plain values until its entry is built
+    pos, Q, gamma = top.position, top.Q, top.gamma
     digits, line = _g_expansion(chain)
-    v0, v1 = line[0], line[1] - entries[-1].gamma
+    v0, v1 = line[0], line[1] - gamma
     while True:
-        top = entries[-1]
-        gamma = top.gamma
         z = -(digits[0][0] // p ** v0) * pow(digits[1][0] // p ** v1, -1, p) % p
-        key = UniPoly._raw((-((-top.Q.nums[0] + z * p ** gamma) % p ** (gamma + 1)), 1), 1)
+        key = UniPoly._raw((-((-Q.nums[0] + z * p ** gamma) % p ** (gamma + 1)), 1), 1)
         nxt = _iexpand(g.nums, key.nums)
         if not nxt[0]:
             raise MalformedInput("candidate key divides g; g is reducible")
-        if len(entries) >= depth:
+        if len(entries) + 1 >= depth:
             break
-        entries[-1] = ChainEntry(top.position, top.Q, gamma, top.a, top.Qt, fld, z, fld.gen)
+        entries.append(_entry(ctx, pos, Q, gamma, fld, z, fld.gen))
         digits, v0, v1 = nxt, _intval(p, nxt[0][0]), _intval(p, nxt[1][0])
-        entries.append(_entry(chain.ctx, top.position + 1, key, v0 - v1))
-    out = KeyChain(chain.ctx, g, tuple(entries), chain.status, chain.mode, chain.branch_log)
-    out.cache()["g_expansion"] = (digits, {j: _intval(p, d[0]) + j * top.gamma
+        pos, Q, gamma = pos + 1, key, v0 - v1
+    entries.append(top if Q is top.Q else _entry(ctx, pos, Q, gamma))
+    out = KeyChain(ctx, g, tuple(entries), chain.status, chain.mode, chain.branch_log)
+    out.cache()["g_expansion"] = (digits, {j: _intval(p, d[0]) + j * gamma
                                            for j, d in enumerate(digits) if d})
     return out
 

@@ -445,6 +445,18 @@ class TestMainExitCodes:
         assert main(["--config", self.write(tmp_path, doc), "--command", "reduce"]) == 1
         assert "image degree 257" in json.loads(capsys.readouterr().out)["message"]
 
+    @pytest.mark.parametrize("command", ["eval", "expand"])
+    def test_poly_degree_bound_is_inclusive(self, tmp_path, capsys, command):
+        # a payload poly is its own image: degree 256 runs, 257 exits 1
+        # before any expansion, whatever the other payload fields say
+        doc = {**EXA, "payload": {"poly": [1] + [0] * 255 + [1], "anchor": 0}}
+        assert main(["--config", self.write(tmp_path, doc), "--command", command]) == 0
+        assert "error" not in json.loads(capsys.readouterr().out)
+        doc = {**EXA, "payload": {"poly": [1] + [0] * 256 + [1]}}
+        assert main(["--config", self.write(tmp_path, doc), "--command", command]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "malformed-input", "message": "poly degree 257 exceeds the bound 256"}
+
     def test_prime_above_primality_bound_exit1(self, tmp_path, capsys):
         path = self.write(tmp_path, {"p": 3317044064679887385961981 + 2, "g": [3, 0, 1]})
         assert main(["--config", path, "--command", "chain"]) == 1
