@@ -983,17 +983,17 @@ class ResidueField:
         Squarefree decomposition, distinct-degree factorization and
         Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
         Modern Computer Algebra, ch. 14), with splitting polynomials drawn
-        from a generator seeded inside the call, and built only when some
-        part splits, then sorted."""
+        from a generator seeded inside the call, then sorted."""
         f = self.poly_monic(self.poly_norm(f))
         if len(f) - 1 < 1:
             return []
         if len(f) - 1 == 1:
             return [(f, 1)]
-        parts = [(same, d, mult) for part, mult in self._squarefree(f)
-                 for d, same in self._distinct_degree(part)]
-        rng = random.Random(0) if any(len(s) - 1 != d for s, d, _ in parts) else None
-        out = [(fac, mult) for same, d, mult in parts for fac in self._equal_degree(same, d, rng)]
+        rng = random.Random(0)
+        out = [(fac, mult)
+               for part, mult in self._squarefree(f)
+               for d, same in self._distinct_degree(part)
+               for fac in self._equal_degree(same, d, rng)]
         return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
 
     def _squarefree(self, f):

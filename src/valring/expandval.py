@@ -17,53 +17,57 @@ ORACLE = "oracle"
 RECURSIVE = "recursive"
 
 
-def _digit(chain: KeyChain, d: list, den: int, vden: int, method: str):
-    """nu(d / den) for a nonzero int digit d, vden = v_p(den): v_p of a
-    constant, else the recursive evaluator or the oracle."""
-    if len(d) == 1:
-        return _intval(chain.ctx.p, d[0]) - vden
-    if method == RECURSIVE:
-        return chain.ivalue(len(chain.entries) - 1, d) - vden
-    return chain.nu(UniPoly._make(d, den)).value
-
-
 def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
     """{j: nu(f_j) + j*gamma_i} over the nonzero terms of the Q_i-expansion.
-    It runs on f's numerators (the key is monic integral): f_j = d_j / den."""
+
+    The expansion runs on f's numerators (the key is monic integral), so
+    digit j is d_j / den.  A constant digit's value is v_p of its
+    numerators; on the recursive route the chain-internal evaluator
+    answers the other digits, else the oracle does."""
     ent = chain.entry(i)
-    if ent.gamma is INF:
+    gamma = ent.gamma
+    if gamma is INF:
         raise MalformedInput(f"{what} needs a position of finite value")
-    vden = _intval(chain.ctx.p, f.den)
-    return {j: _digit(chain, d, f.den, vden, method) + j * ent.gamma
-            for j, d in enumerate(_iexpand(f.nums, ent.Q.nums)) if d}
+    p = chain.ctx.p
+    top = len(chain.entries) - 1
+    vden = _intval(p, f.den)
+    out = {}
+    for j, d in enumerate(_iexpand(f.nums, ent.Q.nums)):
+        if not d:
+            continue
+        if len(d) == 1:
+            v = _intval(p, d[0]) - vden
+        elif method == RECURSIVE:
+            v = chain.ivalue(top, d) - vden
+        else:
+            v = chain.nu(UniPoly._make(d, f.den)).value
+        out[j] = v + j * gamma
+    return out
 
 
 def truncate(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE):
-    """nu_i(f) = min_j nu(f_j Q_i^j) over the Q_i-expansion, digits valued by
-    the oracle (default) or the recursive evaluator, as in `_line`.
+    """nu_i(f) = min_j nu(f_j Q_i^j) over the Q_i-expansion.
 
-    d_j is an integer polynomial and eta is integral, so term j is at least
-    j*gamma_i - v_p(den): a constant digit whose bound reaches the least term
-    so far is not valued.  At a linear key every digit is a constant Taylor
-    coefficient and the bound grows with j (gamma_i >= 0), so the scan stops
-    there; elsewhere every nonconstant digit is valued, so refusals surface."""
+    Coefficient values come from the valuation oracle by default; the
+    chain-internal recursive evaluator is the cross-checking route.
+
+    At a linear key x - c every digit is a constant: the Taylor coefficient
+    d_j of f's numerators at c, and term j is v_p(d_j) - v_p(den) + j*gamma_i.
+    v_p(d_j) >= 0, so j*gamma_i - v_p(den) bounds term j from below, and the
+    bound grows with j (gamma_i >= 0): the scan stops once it reaches the
+    least term found, and the digits past it are never valued."""
     ent = chain.entry(i)
     gamma, qn = ent.gamma, ent.Q.nums
-    if gamma is INF:
-        raise MalformedInput("truncation needs a position of finite value")
+    if len(qn) != 2 or gamma is INF:
+        return min(_line(chain, i, f, method, "truncation").values(), default=INF)
     p = chain.ctx.p
     vden = _intval(p, f.den)
     best = INF
-    if len(qn) == 2:
-        for j, c in enumerate(_taylor(f.nums, -qn[0])):
-            if (low := j * gamma - vden) >= best:
-                break
-            if c and (v := _intval(p, c) + low) < best:
-                best = v
-        return best
-    for j, d in enumerate(_iexpand(f.nums, qn)):
-        if d and (len(d) > 1 or j * gamma - vden < best):
-            best = min(best, _digit(chain, d, f.den, vden, method) + j * gamma)
+    for j, c in enumerate(_taylor(f.nums, -qn[0])):
+        if (low := j * gamma - vden) >= best:
+            break
+        if c and (v := _intval(p, c) + low) < best:
+            best = v
     return best
 
 

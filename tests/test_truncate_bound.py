@@ -2,10 +2,10 @@
 
 nu_i(f) = min_j nu(f_j Q_i^j).  The reference below takes the least of the
 whole line: every nonzero digit of f's Q_i-expansion valued, as `_line`
-values them.  `truncate` instead bounds term j from below by
-j*gamma_i - v_p(den) (d_j is an integer polynomial and eta is integral),
-skips a constant digit whose bound reaches the least term found so far, and
-at a linear key reads f's Taylor digits and stops its scan there.  Both must
+values them.  At a linear key `truncate` instead reads f's Taylor digits,
+all constant, bounds term j from below by j*gamma_i - v_p(den) (d_j is an
+integer), and stops its scan once the bound reaches the least term found so
+far; at other keys it takes the least of the whole line.  Both must
 give the same value, or the same refusal, on every suite chain (the worked
 contexts full and collapsed, the six deep branches, seeded random
 generators) and on chains whose oracle refuses, by both methods, at every
@@ -123,8 +123,8 @@ def test_truncate_is_the_least_of_the_line(name, chain):
 
 def test_refusal_surfaces_past_the_bound():
     # at the degree-2 key the constant digit 1 already gives the least term
-    # 0, and the digit x of 1 + x*Q_1 is bounded by gamma_1 = 1 >= 0: it is
-    # still sent to the oracle, which refuses, as the reference's line does
+    # 0, yet the digit x of 1 + x*Q_1 is still sent to the oracle, which
+    # refuses, as the reference's line does
     for name, chain in refusing_chains():
         f = UniPoly((0, 1)) * chain.entry(1).Q + 1
         assert outcome(truncate, chain, 1, f) == outcome(ref_truncate, chain, 1, f)
