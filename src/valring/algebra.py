@@ -706,6 +706,12 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
 # crossover of the two routes' `extend_by` times (see CHANGES.md)
 _ENUM_LIMIT = 4096
 
+# Fields of at most this many elements factor by first dividing out the
+# roots that enumeration finds (`ResidueField.roots`): the measured crossover
+# on degrees 2-4, which F_64 already lost (see CHANGES.md).  Larger fields
+# keep the general path, polynomial in log q.
+_ROOT_LIMIT = 61
+
 
 def _digits(n: int, p: int, k: int) -> tuple:
     """The k base-p digits of n, least significant first."""
@@ -943,9 +949,18 @@ class ResidueField:
 
     def poly_eval(self, f, a):
         acc = 0
+        if self.k == 1:
+            for c in reversed(f):
+                acc = (acc * a + c) % self.p
+            return acc
         for c in reversed(f):
             acc = self.add(self.mul(acc, a), c)
         return acc
+
+    def roots(self, f):
+        """The roots of f in canonical (int) order, by evaluating f at every
+        element."""
+        return (a for a in self.elements() if not self.poly_eval(f, a))
 
     def poly_monic(self, f):
         if not f:
@@ -980,20 +995,37 @@ class ResidueField:
         canonical order: by degree, then c_0, c_1, ... compared in turn as
         ints.
 
-        Squarefree decomposition, distinct-degree factorization and
-        Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
-        Modern Computer Algebra, ch. 14), with splitting polynomials drawn
-        from a generator seeded inside the call, then sorted."""
+        Over at most `_ROOT_LIMIT` elements each root is divided out with its
+        multiplicity first; the root-free rest is irreducible at degree <= 3.
+        What remains takes squarefree decomposition, distinct-degree
+        factorization and Cantor-Zassenhaus equal-degree splitting (von zur
+        Gathen and Gerhard, Modern Computer Algebra, ch. 14), with splitting
+        polynomials drawn from a generator seeded inside the call.  The
+        factors are then sorted."""
         f = self.poly_monic(self.poly_norm(f))
-        if len(f) - 1 < 1:
-            return []
-        if len(f) - 1 == 1:
-            return [(f, 1)]
-        rng = random.Random(0)
-        out = [(fac, mult)
-               for part, mult in self._squarefree(f)
-               for d, same in self._distinct_degree(part)
-               for fac in self._equal_degree(same, d, rng)]
+        if len(f) < 3:
+            return [(f, 1)] if len(f) == 2 else []
+        out = []
+        if self.q <= _ROOT_LIMIT:
+            rest = f
+            for a in self.roots(f):
+                lin, mult = (self.neg(a), 1), 0
+                quot, rem = self.poly_divmod(rest, lin)
+                while not rem:
+                    rest, mult = quot, mult + 1
+                    quot, rem = self.poly_divmod(rest, lin)
+                out.append((lin, mult))
+            # the rest has no root: at degree <= 3 it is 1 or irreducible
+            if len(rest) <= 4:
+                out += [(rest, 1)] if len(rest) > 1 else []
+                rest = ()
+            f = rest
+        if f:
+            rng = random.Random(0)
+            out += [(fac, mult)
+                    for part, mult in self._squarefree(f)
+                    for d, same in self._distinct_degree(part)
+                    for fac in self._equal_degree(same, d, rng)]
         return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
 
     def _squarefree(self, f):
@@ -1094,10 +1126,7 @@ def _first_root(field: ResidueField, poly):
     if field.q > _ENUM_LIMIT:
         return min((field.neg(fac[0]) for fac, _ in field.factor_monic(poly)
                     if len(fac) == 2), default=None)
-    for a in field.elements():
-        if not field.poly_eval(poly, a):
-            return a
-    return None
+    return next(field.roots(poly), None)
 
 
 def _embedded(small: ResidueField, big: ResidueField, gen_image, elt):
