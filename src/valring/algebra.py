@@ -251,9 +251,6 @@ class _QPoly:
     def is_integral(self) -> bool:
         return self.den == 1
 
-    def denominator_lcm(self) -> int:
-        return self.den
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self._coerce(other)
@@ -438,20 +435,17 @@ class UniPoly(_QPoly):
 
 def qexpand(f: UniPoly, q: UniPoly, scale=1):
     """The q-expansion of f: the unique (f_0, ..., f_n) with f = sum f_j q^j
-    and deg f_j < deg q.  Requires q monic of degree >= 1.
+    and deg f_j < deg q.  Requires q monic integral of degree >= 1, as every
+    key and g is.
 
     With `scale` a, digit j is multiplied by a^j: for q = a * qt that is
-    the qt-expansion.  For an integral q the whole expansion is one pass
-    of synthetic divisions on the numerators of f, which share its den.
+    the qt-expansion.  The whole expansion is one pass of synthetic
+    divisions on the numerators of f (`_iexpand`), which share its den.
     """
-    if q.degree < 1 or not q.is_monic:
-        raise MalformedDivisor(f"expansion divisor must be monic nonconstant, got {q!r}")
+    if q.degree < 1 or not q.is_monic or not q.is_integral:
+        raise MalformedDivisor(
+            f"expansion divisor must be monic integral nonconstant, got {q!r}")
     out = []
-    if not q.is_integral:
-        while not f.is_zero:
-            f, r = divmod(f, q)
-            out.append(r * scale ** len(out))
-        return tuple(out)
     sn, sd = scale.numerator, scale.denominator
     den = f.den
     pn, pd = 1, 1
@@ -737,23 +731,15 @@ class ResidueField:
     zero = 0
     one = 1
 
-    def __init__(self, p: int, modulus=None):
-        self._set_modulus(p, modulus)
-        if self.k > 1 and not self._prime._poly_irreducible(self.modulus):
-            raise MalformedInput("modulus is reducible")
+    def __init__(self, p: int):
+        """F_p itself, with modulus t; `of_degree` builds F_{p^k}."""
+        self._set_modulus(p, (0, 1))
 
     def _set_modulus(self, p: int, modulus):
         self.p = p
-        if modulus is None:
-            modulus = (0, 1)  # F_p itself: t
-        self.modulus = tuple(int(c) % p for c in modulus)
-        if not self.modulus or self.modulus[-1] != 1:
-            raise MalformedInput("modulus must be monic")
-        self.k = len(self.modulus) - 1
-        if self.k < 1:
-            raise MalformedInput("modulus must be nonconstant")
+        self.modulus = modulus
+        self.k = len(modulus) - 1
         self.q = p ** self.k
-        self._prime = self if self.k == 1 else ResidueField(p)
 
     # -- construction -----------------------------------------------------
 
@@ -771,7 +757,6 @@ class ResidueField:
         for n in range(p ** k):
             cand = _digits(n, p, k) + (1,)
             if base._poly_irreducible(cand):
-                # the scan has just tested cand: skip the test in __init__
                 out = cls.__new__(cls)
                 out._set_modulus(p, cand)
                 return out

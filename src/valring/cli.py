@@ -363,7 +363,7 @@ def run(command: str, config: JobConfig, trace: bool = False) -> dict:
         exp = full_expansion(chain, _parse_index(anchor, "anchor"), f)
         return {
             "anchor": exp.anchor,
-            "terms": fmt_xpoly(exp.as_xpoly()),
+            "terms": fmt_xpoly(exp.poly),
             "nu_value": fmt_value(exp.nu_value),
             "index_tuple": list(exp.index_tuple),
         }

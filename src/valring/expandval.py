@@ -13,23 +13,18 @@ from .errors import InsufficientDepth, MalformedInput
 from .keychain import KeyChain, segment
 from .xpoly import XPoly, monom, mu0
 
-ORACLE = "oracle"
-RECURSIVE = "recursive"
 
-
-def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
+def _line(chain: KeyChain, i: int, f: UniPoly, what: str) -> dict:
     """{j: nu(f_j) + j*gamma_i} over the nonzero terms of the Q_i-expansion.
 
     The expansion runs on f's numerators (the key is monic integral), so
     digit j is d_j / den.  A constant digit's value is v_p of its
-    numerators; on the recursive route the chain-internal evaluator
-    answers the other digits, else the oracle does."""
+    numerators; the oracle answers the other digits."""
     ent = chain.entry(i)
     gamma = ent.gamma
     if gamma is INF:
         raise MalformedInput(f"{what} needs a position of finite value")
     p = chain.ctx.p
-    top = len(chain.entries) - 1
     vden = _intval(p, f.den)
     out = {}
     for j, d in enumerate(_iexpand(f.nums, ent.Q.nums)):
@@ -37,19 +32,15 @@ def _line(chain: KeyChain, i: int, f: UniPoly, method: str, what: str) -> dict:
             continue
         if len(d) == 1:
             v = _intval(p, d[0]) - vden
-        elif method == RECURSIVE:
-            v = chain.ivalue(top, d) - vden
         else:
             v = chain.nu(UniPoly._make(d, f.den)).value
         out[j] = v + j * gamma
     return out
 
 
-def truncate(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE):
-    """nu_i(f) = min_j nu(f_j Q_i^j) over the Q_i-expansion.
-
-    Coefficient values come from the valuation oracle by default; the
-    chain-internal recursive evaluator is the cross-checking route.
+def truncate(chain: KeyChain, i: int, f: UniPoly):
+    """nu_i(f) = min_j nu(f_j Q_i^j) over the Q_i-expansion, with
+    coefficient values from the valuation oracle.
 
     At a linear key x - c every digit is a constant: the Taylor coefficient
     d_j of f's numerators at c, and term j is v_p(d_j) - v_p(den) + j*gamma_i.
@@ -59,7 +50,7 @@ def truncate(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE):
     ent = chain.entry(i)
     gamma, qn = ent.gamma, ent.Q.nums
     if len(qn) != 2 or gamma is INF:
-        return min(_line(chain, i, f, method, "truncation").values(), default=INF)
+        return min(_line(chain, i, f, "truncation").values(), default=INF)
     p = chain.ctx.p
     vden = _intval(p, f.den)
     best = INF
@@ -71,9 +62,9 @@ def truncate(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE):
     return best
 
 
-def truncations(chain: KeyChain, f: UniPoly, method: str = ORACLE) -> list:
+def truncations(chain: KeyChain, f: UniPoly) -> list:
     """`truncate` at every star position, in order."""
-    return [truncate(chain, i, f, method) for i in chain.star_positions]
+    return [truncate(chain, i, f) for i in chain.star_positions]
 
 
 @dataclass(frozen=True)
@@ -82,9 +73,9 @@ class SSet:
     indices: tuple
 
 
-def s_set(chain: KeyChain, i: int, f: UniPoly, method: str = ORACLE) -> SSet:
+def s_set(chain: KeyChain, i: int, f: UniPoly) -> SSet:
     """Indices of the Q_i-expansion attaining nu_i(f)."""
-    vals = _line(chain, i, f, method, "S-set")
+    vals = _line(chain, i, f, "S-set")
     if not vals:
         raise MalformedInput("S-set of the zero polynomial")
     m = min(vals.values())
@@ -106,12 +97,6 @@ class FullExpansion:
     def terms(self) -> tuple:
         """((Fraction coeff, monom), ...) sorted by monomial."""
         return tuple(sorted(((c, m) for m, c in self.poly.terms.items()), key=lambda cm: cm[1]))
-
-    def as_xpoly(self) -> XPoly:
-        return self.poly
-
-    def evaluate(self, chain: KeyChain) -> UniPoly:
-        return chain.evaluate(self.as_xpoly())
 
 
 def _pick_common_position(chain: KeyChain, below_plateau: int, polys):
@@ -205,7 +190,7 @@ def check_conditions(chain: KeyChain, exp: FullExpansion, f: UniPoly) -> dict:
                 ok2 = False
     degs = [chain.entries[k].Q.degree for k in exp.index_tuple]
     ok3 = len(degs) == len(set(degs))
-    ok_eval = exp.evaluate(chain) == f
+    ok_eval = chain.evaluate(exp.poly) == f
     return {"min_is_truncation": ok1, "exponent_bounds": ok2,
             "one_position_per_degree": ok3, "evaluation_identity": ok_eval}
 

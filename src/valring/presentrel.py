@@ -1,6 +1,6 @@
 """The normalized relation data of a chain: scalars b, relation bodies Q,
-the ideals I1 and I2 with their positional filters, within-plateau
-relations, and redundancy cofactors along a truncated plateau.
+the ideals I1 and I2, within-plateau relations, and redundancy cofactors
+along a truncated plateau.
 """
 
 from __future__ import annotations
@@ -91,20 +91,6 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
 class GeneratorSet:
     i1: tuple
     i2: tuple
-
-    def i1_upto(self, ell: int):
-        """I_{1,ell}: generators with target <= ell."""
-        return tuple(g for g in self.i1 if g.target <= ell)
-
-    def i1_below(self, ell: int):
-        return tuple(g for g in self.i1 if g.target < ell)
-
-    def i2_upto(self, ell: int):
-        """I_{2,ell}: generators with source <= ell."""
-        return tuple(g for g in self.i2 if g.source <= ell)
-
-    def i2_below(self, ell: int):
-        return tuple(g for g in self.i2 if g.source < ell)
 
     def i1_by_target(self, ell: int):
         hits = [g for g in self.i1 if g.target == ell]

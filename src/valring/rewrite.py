@@ -130,8 +130,11 @@ def replay(chain: KeyChain, steps) -> XPoly:
 def _body(chain: KeyChain, i: int, ell: int):
     """The relation generator of the pair (i, ell) and the chain-cached list
     [P^0, P^1, ...] of powers of its body P = Q_{li}/b_{li}, which
-    buildings, reductions and their traces share."""
+    buildings, reductions and their traces share.  Only an I1 pair has a
+    variable X_ell; the final pair of a complete chain is g's (I2)."""
     gen = relation(chain, ell, i)
+    if gen.kind != "I1":
+        raise MalformedInput(f"({i}, {ell}) is an I2 pair: no X_{ell} to build or reduce")
     table = chain.cache().setdefault("body_powers", {})
     powers = table.get((ell, i))
     if powers is None:

@@ -123,7 +123,7 @@ def integral_rep(chain: KeyChain, h: UniPoly) -> XPoly:
     for i in chain.star_positions:
         if truncate(chain, i, h) == val:
             exp = full_expansion(chain, i, h)
-            out = exp.as_xpoly()
+            out = exp.poly
             if not out.is_integral:
                 raise AssertionError("expansion at an exact position not integral")
             return out
@@ -187,13 +187,13 @@ def membership(chain: KeyChain, F: XPoly) -> Certificate:
     cof = i1_decompose(chain, d, gens) if not d.is_zero else {}
     denominators = []
     if not r_s.is_integral:
-        denominators.append(("i2-cofactor", r_s.denominator_lcm()))
+        denominators.append(("i2-cofactor", r_s.den))
     parts = []
     for tgt in sorted(cof):
         c = cof[tgt]
         parts.append((tgt, c))
         if not c.is_integral:
-            denominators.append((f"i1-cofactor-{tgt}", c.denominator_lcm()))
+            denominators.append((f"i1-cofactor-{tgt}", c.den))
     cert = Certificate(F, anchor, s, q_s, r_s, tuple(parts), tuple(denominators))
     if cert.re_expand(gens) != F:
         raise AssertionError("certificate failed to re-expand to its target")

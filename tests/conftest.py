@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from valring.algebra import UniPoly, ValuedFieldCtx
+from valring.algebra import INF, UniPoly, ValuedFieldCtx, _iexpand, _intval
+from valring.errors import MalformedInput
 from valring.keychain import build_chain
 
 CTX2 = ValuedFieldCtx(2)
@@ -53,6 +54,22 @@ def chain_d():
 @pytest.fixture(scope="session")
 def all_chains(chain_a, chain_b, chain_c, chain_d):
     return {"A": chain_a, "B": chain_b, "C": chain_c, "D": chain_d}
+
+
+def recursive_line(chain, i, f) -> dict:
+    """The oracle-free route to `truncate` and `s_set`: {j: nu(f_j) +
+    j*gamma_i} over the nonzero digits of f's Q_i-expansion, every digit
+    valued by the chain's own evaluator (`KeyChain.value_line` below Q_i)."""
+    ent = chain.entry(i)
+    if ent.gamma is INF:
+        raise MalformedInput("truncation needs a position of finite value")
+    vden = _intval(chain.ctx.p, f.den)
+    line = chain.value_line(i - 1, _iexpand(f.nums, ent.Q.nums), ent.gamma)
+    return {j: v - vden for j, v in line.items()}
+
+
+def recursive_truncate(chain, i, f):
+    return min(recursive_line(chain, i, f).values(), default=INF)
 
 
 def rand_unipoly(rng: random.Random, max_deg: int, height: int = 2 ** 16) -> UniPoly:

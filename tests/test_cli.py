@@ -232,6 +232,12 @@ class TestRun:
         assert doc["validation_passed"] and doc["relations_passed"]
         assert doc["monotonicity"]["violations"] == 0
 
+    def test_check_counts_insufficient_depth(self):
+        # at depth 2 the truncated plateau of x^2 + 7 is too shallow to
+        # witness one of the 25 probes
+        doc = run("check", cfg({"p": 2, "g": [7, 0, 1], "branch": [[0, 0]], "depth": 2}))
+        assert doc["completeness_probe"] == {"witnessed": 24, "insufficient_depth": 1}
+
 
 class TestPairPayload:
     """`build`/`reduce` with a `pair` payload run one (i, ell)-building or
@@ -296,6 +302,17 @@ class TestMainExitCodes:
             {"level": 0, "neat": True, "result": []}
         assert main(["--config", path, "--command", "reduce"]) == 0
         assert json.loads(capsys.readouterr().out) == {"result": []}
+
+    @pytest.mark.parametrize("command", ["build", "reduce"])
+    @pytest.mark.parametrize("flags", [[], ["--trace"]])
+    def test_final_pair_of_complete_chain_exit1(self, tmp_path, capsys, command, flags):
+        # (1, 2) is context A's pair (imax - 1, imax): g's relation, in I2
+        doc = {"p": 2, "g": [3, 0, 1],
+               "payload": {"xpoly": [{"c": 1, "e": {"1": 2}}], "pair": [1, 2]}}
+        path = self.write(tmp_path, doc)
+        assert main(["--config", path, "--command", command, *flags]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["error"] == "malformed-input" and "I2 pair" in out["message"]
 
     def test_ambiguous_branch_exit2(self, tmp_path, capsys):
         path = self.write(tmp_path, {"p": 2, "g": ["7", "0", "1"], "depth": 4})

@@ -9,10 +9,10 @@ from valring.errors import InsufficientDepth, MalformedInput
 from valring.expandval import (check_conditions, expansion_from_index_tuple,
                                expansion_level, full_expansion, make_neat,
                                s_set, truncate)
-from valring.keychain import build_chain
+from valring.keychain import build_chain, segment
 from valring.xpoly import XPoly
 
-from conftest import CTX2, GA, GC, GD, rand_unipoly
+from conftest import CTX2, GA, GC, GD, rand_unipoly, recursive_truncate
 
 
 class TestTruncate:
@@ -37,10 +37,8 @@ class TestTruncate:
             return truncate(*args)
 
         monkeypatch.setattr(expandval, "truncate", counted)
-        for method in ("oracle", "recursive"):
-            calls.clear()
-            row = expandval.truncations(chain, UniPoly((5, -3, 7)), method)
-            assert calls == chain.star_positions and len(row) == 24
+        row = expandval.truncations(chain, UniPoly((5, -3, 7)))
+        assert calls == chain.star_positions and len(row) == 24
 
     def test_agrees_with_recursive_evaluator(self, all_chains):
         rng = random.Random(11)
@@ -50,7 +48,7 @@ class TestTruncate:
                 if f.is_zero:
                     continue
                 for i in chain.star_positions:
-                    assert truncate(chain, i, f) == truncate(chain, i, f, "recursive")
+                    assert truncate(chain, i, f) == recursive_truncate(chain, i, f)
 
     def test_monotone_and_below_nu(self, all_chains):
         rng = random.Random(3)
@@ -109,19 +107,19 @@ class TestSSet:
 class TestFullExpansion:
     def test_exa_anchor1(self, chain_a):
         exp = full_expansion(chain_a, 1, GA)
-        assert exp.as_xpoly() == 4 * XPoly.var(1) ** 2 - 4 * XPoly.var(1) + XPoly.const(4)
+        assert exp.poly == 4 * XPoly.var(1) ** 2 - 4 * XPoly.var(1) + XPoly.const(4)
         assert exp.nu_value == 2
         assert exp.index_tuple == (1,)
 
     def test_exd_anchor1(self, chain_d):
         exp = full_expansion(chain_d, 1, GD)
         X = XPoly.var
-        assert exp.as_xpoly() == 4 * X(1) ** 2 + 4 * X(1) + 4 * X(0)
+        assert exp.poly == 4 * X(1) ** 2 + 4 * X(1) + 4 * X(0)
         assert exp.nu_value == 2
 
     def test_exa_anchor0_of_x(self, chain_a):
         exp = full_expansion(chain_a, 0, UniPoly.x())
-        assert exp.as_xpoly() == XPoly.var(0)
+        assert exp.poly == XPoly.var(0)
         assert exp.nu_value == 0
 
     def test_conditions_on_random_inputs(self, all_chains):
@@ -151,6 +149,20 @@ class TestFullExpansion:
     def test_zero_rejected(self, chain_a):
         with pytest.raises(MalformedInput):
             full_expansion(chain_a, 0, UniPoly())
+
+    def test_common_position_search(self, chain_c):
+        # chain_c's keys x, x + 1, x - 3, x - 11 (gammas 0, 2, 3, 6) form one
+        # truncated plateau; x - c is valued exactly from the first position
+        # whose truncation reaches nu(x - c): 3 at x - 3, 6 at x - 11, both
+        # at x - 11, and nu(x - 75) = 8 at none of them
+        above = segment(chain_c).plateaus[-1].q + 1
+        pick = expandval._pick_common_position
+        x3, x11 = UniPoly((-3, 1)), UniPoly((-11, 1))
+        assert pick(chain_c, above, [x3]) == 2
+        assert pick(chain_c, above, [x11]) == 3
+        assert pick(chain_c, above, [x3, x11]) == 3
+        with pytest.raises(InsufficientDepth):
+            pick(chain_c, above, [UniPoly((-75, 1))])
 
 
 class TestExpansionLevel:

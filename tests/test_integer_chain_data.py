@@ -97,8 +97,8 @@ def test_full_expansions_match_fraction_route(name):
             except (MathRejection, OracleUnavailable):
                 continue
             ref = ref_terms(chain, exp, f)
-            assert exp.as_xpoly() == XPoly(ref), (name, i, f)
-            assert exp.as_xpoly() == XPoly({m: c for c, m in exp.terms})
+            assert exp.poly == XPoly(ref), (name, i, f)
+            assert exp.poly == XPoly({m: c for c, m in exp.terms})
             assert dict((m, c) for c, m in exp.terms) == ref
             assert exp.nu_value == min(pval(chain.ctx, c) for c in ref.values())
             assert exp.nu_value == min(pval(chain.ctx, c) for c, _ in exp.terms)

@@ -10,7 +10,7 @@ from valring.rewrite import total_s_building
 from valring.verify import eval_e
 from valring.xpoly import XPoly, mu0
 
-from conftest import CTX2, rand_unipoly, rand_xpoly
+from conftest import CTX2, rand_unipoly, rand_xpoly, recursive_truncate
 
 
 class TestOracleCrossAgreement:
@@ -28,7 +28,7 @@ class TestOracleCrossAgreement:
                     continue
                 done += 1
                 via_res = Fraction(pval(CTX2, resultant(chain.g, h)), chain.g.degree)
-                via_trunc = truncate(chain, last, h, method="recursive")
+                via_trunc = recursive_truncate(chain, last, h)
                 assert via_res == via_trunc, (chain.g, h)
 
     def test_resultant_averages_branches_on_exc(self, chain_c):

@@ -109,15 +109,6 @@ class TestIdealGenerators:
         r = chain_d.entries[1].Q.degree // chain_d.entries[0].Q.degree
         assert gen.relation_poly.degree_in(0) == r
 
-    def test_filters(self, chain_c):
-        gens = ideal_generators(chain_c)
-        assert len(gens.i1_upto(2)) == 2
-        assert len(gens.i1_below(2)) == 1
-        assert gens.i2_upto(1) == gens.i2[:2]
-        # I_{2,ell} is empty below the final plateau's first position: the
-        # final plateau starts at 0 here, so only the strict filter is empty
-        assert gens.i2_below(0) == ()
-
 
 class TestPlateauRelation:
     def test_exc(self, chain_c):

@@ -161,6 +161,19 @@ class TestReduction:
         assert red_a == X(0)
 
 
+@pytest.mark.parametrize("op", [building, reduction])
+@pytest.mark.parametrize("trace", [None, []])
+def test_final_pair_of_complete_chain_refused(chain_a, chain_d, op, trace):
+    # the pair (imax - 1, imax) of a complete chain names g's relation, in
+    # I2: there is no variable X_imax to build into or reduce
+    for chain in (chain_a, chain_d):
+        top = chain.imax_pos
+        F = X(top - 1) ** 2
+        with pytest.raises(MalformedInput, match="I2 pair"):
+            op(chain, F, top - 1, top, trace)
+        assert not trace
+
+
 class TestTotalSBuilding:
     def test_exa_square(self, chain_a):
         out = total_s_building(chain_a, X(0) ** 2, 1)

@@ -8,10 +8,12 @@ integer), and stops its scan once the bound reaches the least term found so
 far; at other keys it takes the least of the whole line.  Both must
 give the same value, or the same refusal, on every suite chain (the worked
 contexts full and collapsed, the six deep branches, seeded random
-generators) and on chains whose oracle refuses, by both methods, at every
-position, for integer and rational f (p | den, where the bound starts below
-0, included), f with zero Taylor digits, constants and zero.  On deep probe
-rows `truncate` must value fewer digits than the reference.
+generators) and on chains whose oracle refuses, at every position, for
+integer and rational f (p | den, where the bound starts below 0, included),
+f with zero Taylor digits, constants and zero.  The oracle-free route
+(`conftest.recursive_truncate`) must equal the reference's recursive line on
+the same inputs.  On deep probe rows `truncate` must value fewer digits
+than the reference.
 """
 
 import random
@@ -23,16 +25,16 @@ import pytest
 import valring.expandval as expandval
 from valring.algebra import INF, UniPoly, ValuedFieldCtx, _iexpand, _intval
 from valring.errors import MalformedInput, OracleUnavailable
-from valring.expandval import ORACLE, RECURSIVE, truncate, truncations
+from valring.expandval import truncate, truncations
 from valring.keychain import build_chain
 
-from conftest import BRANCH_C, CTX2, GC, GD
+from conftest import BRANCH_C, CTX2, GC, GD, recursive_truncate
 from test_value_cascade import DEEP, chains
 
 # -- the reference: the least of the whole value line ------------------------------
 
 
-def ref_line(chain, i, f, method, what):
+def ref_line(chain, i, f, recursive, what):
     """{j: nu(f_j) + j*gamma_i} over every nonzero digit."""
     ent = chain.entry(i)
     gamma = ent.gamma
@@ -47,7 +49,7 @@ def ref_line(chain, i, f, method, what):
             continue
         if len(d) == 1:
             v = _intval(p, d[0]) - vden
-        elif method == RECURSIVE:
+        elif recursive:
             v = chain.ivalue(top, d) - vden
         else:
             v = chain.nu(UniPoly._make(d, f.den)).value
@@ -55,8 +57,8 @@ def ref_line(chain, i, f, method, what):
     return out
 
 
-def ref_truncate(chain, i, f, method=ORACLE):
-    return min(ref_line(chain, i, f, method, "truncation").values(), default=INF)
+def ref_truncate(chain, i, f, recursive=False):
+    return min(ref_line(chain, i, f, recursive, "truncation").values(), default=INF)
 
 
 def outcome(fn, *args):
@@ -115,10 +117,10 @@ def test_truncate_is_the_least_of_the_line(name, chain):
     rng = random.Random(name)
     for i in range(len(chain.entries)):
         for f in shaped(chain, i, rng) + randoms(chain, rng):
-            for method in (ORACLE, RECURSIVE):
-                args = (chain, i, f, method)
-                assert outcome(truncate, *args) == outcome(ref_truncate, *args), \
-                    (name, i, method, f)
+            for recursive, trunc in ((False, truncate), (True, recursive_truncate)):
+                args = (chain, i, f)
+                assert outcome(trunc, *args) == outcome(ref_truncate, *args, recursive), \
+                    (name, i, recursive, f)
 
 
 def test_refusal_surfaces_past_the_bound():
@@ -129,7 +131,7 @@ def test_refusal_surfaces_past_the_bound():
         f = UniPoly((0, 1)) * chain.entry(1).Q + 1
         assert outcome(truncate, chain, 1, f) == outcome(ref_truncate, chain, 1, f)
         assert outcome(truncate, chain, 1, f)[0] == "oracle-unavailable", name
-        assert truncate(chain, 1, f, RECURSIVE) == 0
+        assert recursive_truncate(chain, 1, f) == 0
 
 
 def test_linear_key_scan_stops_at_the_bound():

@@ -3,7 +3,8 @@
 The reference functions below are the evaluator as it ran on `UniPoly`
 expansion digits (every digit built over its reduced denominator and valued
 at constants as v(numerator) - v(denominator)).  `value_below`, `truncate`
-and `s_set` on both routes must agree with them on the worked chains (full
+and `s_set` on the oracle route and on the recursive one
+(`conftest.recursive_line`) must agree with them on the worked chains (full
 and collapsed), the six deep branches of the benchmark and a seeded sample
 of random generators.  Each augmentation step hands g's expansion in the new
 key to the chain it builds; that cache must equal a fresh expansion.
@@ -21,10 +22,10 @@ from hypothesis import strategies as st
 from valring.algebra import (INF, UniPoly, ValuedFieldCtx, _iexpand, _intval,
                              is_finite, qexpand)
 from valring.errors import MalformedInput, MathRejection, OracleUnavailable
-from valring.expandval import ORACLE, RECURSIVE, SSet, s_set, truncate
+from valring.expandval import SSet, s_set, truncate
 from valring.keychain import _g_expansion, build_chain, collapse
 
-from conftest import BRANCH_C, CTX2, GA, GB, GC, GD
+from conftest import BRANCH_C, CTX2, GA, GB, GC, GD, recursive_line, recursive_truncate
 
 # -- the reference: the cascade on UniPoly digits ------------------------------
 
@@ -43,14 +44,14 @@ def ref_value_below(chain, k, f):
                for j, fj in enumerate(qexpand(f, ent.Q)) if not fj.is_zero)
 
 
-def ref_line(chain, i, f, method):
+def ref_line(chain, i, f, recursive):
     ent = chain.entry(i)
     top = len(chain.entries) - 1
     out = {}
     for j, fj in enumerate(qexpand(f, ent.Q)):
         if fj.is_zero:
             continue
-        if method == RECURSIVE or fj.degree == 0:
+        if recursive or fj.degree == 0:
             v = ref_value_below(chain, top, fj)
         else:
             v = chain.nu(fj).value
@@ -58,14 +59,21 @@ def ref_line(chain, i, f, method):
     return out
 
 
-def ref_truncate(chain, i, f, method):
-    return min(ref_line(chain, i, f, method).values(), default=INF)
+def ref_truncate(chain, i, f, recursive):
+    return min(ref_line(chain, i, f, recursive).values(), default=INF)
 
 
-def ref_s_set(chain, i, f, method):
-    vals = ref_line(chain, i, f, method)
+def _attaining(i, vals):
     m = min(vals.values())
     return SSet(i, tuple(sorted(j for j, v in vals.items() if v == m)))
+
+
+def ref_s_set(chain, i, f, recursive):
+    return _attaining(i, ref_line(chain, i, f, recursive))
+
+
+def recursive_s_set(chain, i, f):
+    return _attaining(i, recursive_line(chain, i, f))
 
 
 # -- the chains ------------------------------------------------------------------
@@ -159,11 +167,14 @@ def outcome(fn, *args):
 def test_truncate_and_s_set_match_reference(index, f):
     name, chain = _pick(index)
     for i in chain.star_positions:
-        for method in (RECURSIVE, ORACLE):
-            args = (chain, i, f, method)
-            assert outcome(truncate, *args) == outcome(ref_truncate, *args), (name, i, method, f)
+        for recursive, trunc, sset in ((True, recursive_truncate, recursive_s_set),
+                                       (False, truncate, s_set)):
+            args = (chain, i, f)
+            assert outcome(trunc, *args) == outcome(ref_truncate, *args, recursive), \
+                (name, i, recursive, f)
             if not f.is_zero:
-                assert outcome(s_set, *args) == outcome(ref_s_set, *args), (name, i, method, f)
+                assert outcome(sset, *args) == outcome(ref_s_set, *args, recursive), \
+                    (name, i, recursive, f)
 
 
 # -- one g-expansion per augmentation step ------------------------------------------

@@ -27,7 +27,7 @@ from valring.algebra import (INF, BranchDescriptor, OracleValue, ResidueClass, U
                              is_finite, nu_oracle, pval, resultant)
 from valring.cli import JobConfig, run
 from valring.errors import MalformedInput, MathRejection, OracleUnavailable
-from valring.expandval import ORACLE, RECURSIVE, truncate, truncations
+from valring.expandval import truncate, truncations
 from valring.keychain import build_chain
 from valring.verify import completeness_probe
 
@@ -38,8 +38,8 @@ X = UniPoly.x()
 
 # -- the truncation row -------------------------------------------------------------
 
-def by_position(chain, f, method):
-    return [truncate(chain, i, f, method) for i in chain.star_positions]
+def by_position(chain, f):
+    return [truncate(chain, i, f) for i in chain.star_positions]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -47,9 +47,7 @@ def by_position(chain, f, method):
 @example(0, UniPoly())
 def test_row_matches_truncate(index, f):
     name, chain = _pick(index)
-    for method in (RECURSIVE, ORACLE):
-        assert outcome(truncations, chain, f, method) == \
-            outcome(by_position, chain, f, method), (name, method, f)
+    assert outcome(truncations, chain, f) == outcome(by_position, chain, f), (name, f)
 
 
 def test_row_on_every_chain():
@@ -58,9 +56,7 @@ def test_row_on_every_chain():
         for _ in range(6):
             f = UniPoly([Fraction(rng.randrange(-999, 1000), rng.randrange(1, 40))
                          for _ in range(rng.randrange(1, chain.g.degree + 3))])
-            for method in (RECURSIVE, ORACLE):
-                assert outcome(truncations, chain, f, method) == \
-                    outcome(by_position, chain, f, method), (name, method, f)
+            assert outcome(truncations, chain, f) == outcome(by_position, chain, f), (name, f)
 
 
 # -- the completeness probe on the row -------------------------------------------------
