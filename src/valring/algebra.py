@@ -555,41 +555,33 @@ def hensel_root(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, n_digits: i
     """Lift a simple-in-the-Hensel-sense root of g to precision p**n_digits.
 
     The seed must satisfy v(g(seed)) > 2 v(g'(seed)); the returned class is
-    the unique root congruent to the seed.  Lifting is digit by digit, which
-    keeps every valuation test exact: with d = v(g'(x)) and root == x mod
-    p**k, k > d, the next digit t solves g(x)/p**(d+k) + t g'(x)/p**d == 0
-    mod p, since the Taylor terms of order >= 2 have value >= 2k > d + k.
+    the unique root congruent to the seed.  Lifting is Newton's iteration:
+    with d = v(g'(x)), root == x mod p**k and k > d, the step
+    x' = x - (g(x)/p**d) u**-1 with u = g'(x)/p**d a unit gives
+    root == x' mod p**(2k - d), since v(g(x)/p**d) >= k (so u**-1 mod
+    p**(k - d) suffices) and the Taylor terms of order >= 2 have value
+    >= 2k.  One exact test, v(g(x)) >= k + d, certifies the result.
     """
     if not g.is_integral or g.is_zero:
         raise MalformedInput("hensel_root needs a nonzero integral polynomial")
     p = ctx.p
     s = seed.value % (p ** seed.precision)
     gn, dn = g.nums, g.derivative().nums
-    gx = _ieval(gn, s)
-    vg = _intval(p, gx)
-    vdg = _intval(p, _ieval(dn, s))
-    if vdg is INF:
+    vg = _intval(p, _ieval(gn, s))
+    d = _intval(p, _ieval(dn, s))
+    if d is INF:
         raise NoConvergence("derivative vanishes at seed")
-    if not (vg is INF or vg > 2 * vdg):
+    if not (vg is INF or vg > 2 * d):
         raise NoConvergence(
-            f"seed not Hensel-liftable: v(g(s))={vg} <= 2*v(g'(s))={2 * vdg}")
-    if vg is INF:
-        # the seed is an exact integer root
-        r = s % (p ** n_digits)
-        return ResidueClass(r, n_digits)
-    d = vdg
-    k = vg - d  # current agreement: root == x mod p**k
-    x = s
+            f"seed not Hensel-liftable: v(g(s))={vg} <= 2*v(g'(s))={2 * d}")
+    k, x = vg + -d, s  # root == x mod p**k; k is INF at an exact root
     while k < n_digits:
         unit = _ieval(dn, x) // p ** d
-        digit = -(gx // p ** (d + k)) * pow(unit, -1, p) % p
-        cand = x + digit * p ** k
-        gx = _ieval(gn, cand)
-        vc = _intval(p, gx)
-        if not (vc is INF or vc >= d + k + 1):
-            raise NoConvergence("no digit continues the convergent branch")
-        x = cand
-        k += 1
+        step = _ieval(gn, x) // p ** d * pow(unit, -1, p ** (k - d))
+        k = 2 * k - d
+        x = (x - step) % p ** k
+    if _intval(p, _ieval(gn, x)) < k + d:
+        raise NoConvergence("Newton lift failed its certificate v(g(x)) >= k + v(g'(x))")
     r = x % (p ** n_digits)
     if r % (p ** min(seed.precision, n_digits)) != s % (p ** min(seed.precision, n_digits)):
         raise NoConvergence("lift left the seed residue class")
@@ -744,10 +736,6 @@ class ResidueField:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def prime(cls, p: int) -> "ResidueField":
-        return cls(p)
-
-    @classmethod
     def of_degree(cls, p: int, k: int) -> "ResidueField":
         """The canonical field of degree k: lexicographically smallest
         monic irreducible modulus."""
@@ -851,9 +839,6 @@ class ResidueField:
             raise ZeroDivisionError("inverse of zero in residue field")
         # a^(q-1) = 1 in the multiplicative group of F_q
         return self.pow(a, self.q - 2)
-
-    def frobenius(self, a):
-        return self.pow(a, self.p)
 
     def elements(self):
         """All elements in canonical (int) order."""

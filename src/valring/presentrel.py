@@ -57,8 +57,6 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
             raise MalformedInput(f"position {i} is not a successor of the last key")
         exp = full_expansion(chain, i, chain.g)
         nu_g = exp.nu_value
-        if nu_g.denominator != 1:
-            raise MalformedInput("non-integral truncation of g: e = 1 violated")
         b = Fraction(1, chain.ctx.p ** nu_g) if nu_g >= 0 else Fraction(chain.ctx.p ** -nu_g)
         qpoly = exp.poly * b
         gen = RelationGen("I2", IMAX, i, b, qpoly, seg.offset(i), None)

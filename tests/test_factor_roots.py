@@ -126,7 +126,7 @@ class TestRootFreeRest:
             assert fld.factor_monic(g) == [(lin, 2)] + want
 
     def test_square_of_the_quadratic_over_f2(self):
-        f2 = ResidueField.prime(2)
+        f2 = ResidueField(2)
         # (y^2 + y + 1)^2 = y^4 + y^2 + 1: no root, degree 4, one factor
         assert f2.factor_monic((1, 0, 1, 0, 1)) == [((1, 1, 1), 2)]
         # times y^3 (y + 1)
@@ -134,7 +134,7 @@ class TestRootFreeRest:
         assert f2.factor_monic(f) == [((0, 1), 3), ((1, 1), 1), ((1, 1, 1), 2)]
 
     def test_repeated_roots(self):
-        f7 = ResidueField.prime(7)
+        f7 = ResidueField(7)
         # (y - 1)^3 (y - 2)^2 (y^2 + 1): roots 1 and 2, rest irreducible over F_7
         f = (1,)
         for g in [(6, 1)] * 3 + [(5, 1)] * 2 + [(1, 0, 1)]:
@@ -143,7 +143,7 @@ class TestRootFreeRest:
         assert list(f7.roots(f)) == [1, 2]
 
     def test_irreducible_quartic_and_quintic(self):
-        f3 = ResidueField.prime(3)
+        f3 = ResidueField(3)
         for f in [(2, 0, 0, 1, 1), (1, 2, 0, 0, 0, 1)]:  # irreducible over F_3
             assert _trial_factor(f3, f) == [(f, 1)]
             assert f3.factor_monic(f) == [(f, 1)]
@@ -163,7 +163,7 @@ class TestRoots:
             assert list(fld.roots(f)) == want
 
     def test_first_root_reads_roots(self):
-        f5 = ResidueField.prime(5)
+        f5 = ResidueField(5)
         f = f5.poly_mul((2, 1), (4, 1))  # roots 3 and 1
         assert list(f5.roots(f)) == [1, 3]
         assert algebra._first_root(f5, f) == 1
@@ -230,14 +230,14 @@ class TestRootLimit:
             return real(self, f)
 
         monkeypatch.setattr(ResidueField, "roots", roots)
-        big = ResidueField.prime(1_000_000_007)
+        big = ResidueField(1_000_000_007)
         # y^2 + 1 is irreducible: -1 is no square mod 1,000,000,007 = 3 mod 4
         f = big.poly_mul(big.poly_mul((3, 1), (3, 1)), (1, 0, 1))
         assert big.factor_monic(f) == [((3, 1), 2), ((1, 0, 1), 1)]
         _, above = _boundary_fields()
         above.factor_monic(above.poly_mul((1, 1), (2, 1)))
         assert seen == []
-        small = ResidueField.prime(5)
+        small = ResidueField(5)
         small.factor_monic((1, 0, 1))
         assert seen == [5]
 
@@ -245,7 +245,7 @@ class TestRootLimit:
         made = []
         real = random.Random
         monkeypatch.setattr(algebra.random, "Random", lambda *a: (made.append(a), real(*a))[1])
-        f2 = ResidueField.prime(2)
+        f2 = ResidueField(2)
         f2.factor_monic((0, 1, 1, 1))           # y (y^2 + y + 1): a root, then a quadratic
         f2.factor_monic((1, 1, 0, 1))           # irreducible cubic
         assert made == []

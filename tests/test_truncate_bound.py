@@ -74,13 +74,11 @@ def outcome(fn, *args):
 
 
 def refusing_chains():
-    """Context D (a degree-2 key at position 1) with an oracle that refuses:
-    complete with branching choices, and cut to a truncated plateau of
-    degree 2."""
+    """Context D (a degree-2 key at position 1) cut to a truncated plateau of
+    degree 2, where the oracle refuses."""
     d = build_chain(CTX2, GD)
-    branched = replace(d, branch_log=build_chain(CTX2, GC, BRANCH_C, depth=4).branch_log)
     cut = replace(d, entries=d.entries[:2], status="prefix-of-infinite-plateau")
-    return [("D-branched", branched), ("D-cut", cut)]
+    return [("D-cut", cut)]
 
 
 def shaped(chain, i, rng):

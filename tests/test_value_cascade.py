@@ -154,8 +154,8 @@ def test_value_below_on_every_chain_and_level():
 # -- truncate and s_set, both routes ---------------------------------------------------
 
 def outcome(fn, *args):
-    """The value of fn(*args), or the oracle's refusal (a complete chain with
-    branching choices, a truncated plateau of degree > 1)."""
+    """The value of fn(*args), or the oracle's refusal (a truncated plateau
+    of degree > 1)."""
     try:
         return fn(*args)
     except OracleUnavailable as e:
