@@ -53,8 +53,9 @@ IMAX = "imax"
 @dataclass(frozen=True)
 class ChainEntry:
     """One key of a chain.  Every key Q is monic with integer coefficients
-    (`gauss_start`, `_refine_key`, `_jump_key` and g itself build no other),
-    so expansions in Q run on integer numerators (`KeyChain.ivalue`)."""
+    (`gauss_start`, `_refine_key`, `_jump_key`, `_hensel_tail` and g itself
+    build no other), so expansions in Q run on integer numerators
+    (`KeyChain.ivalue`)."""
 
     position: int
     Q: UniPoly
@@ -181,8 +182,6 @@ class KeyChain:
         if last.Q.degree != 1:
             raise OracleUnavailable(
                 "truncated plateau of degree > 1: branch root not in the completion")
-        if not last.Q.is_integral:
-            raise OracleUnavailable("non-integral approximation")
         c = -last.Q.nums[0]
         seed = ResidueClass(c % self.ctx.p ** int(last.gamma), int(last.gamma))
         return BranchDescriptor("hensel", seed)

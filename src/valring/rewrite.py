@@ -4,7 +4,9 @@ s-building and the total reduction.
 
 A building trades powers of a relation body Q_{li}/b_{li} for the variable
 X_l; a reduction substitutes the body back.  Traces record exact cofactors:
-output = input + sum(cofactor * relation generator) syntactically.
+output = input + sum(cofactor * relation generator) syntactically, and each
+step's cofactor is the exact quotient by its relation generator b X_l - Q_{li}
+in X_l, as in `presentrel.i1_decompose`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from .algebra import UniPoly
 from .errors import MalformedInput, StepCapExceeded
 from .keychain import KeyChain, segment
 from .presentrel import ideal_generators, relation
-from .xpoly import XPoly, _monom_key, extend_powers, power_expansion
+from .xpoly import XPoly, _monom_key, divmod_in_var, power_expansion
 
 LESS = "less"
 GREATER = "greater"
@@ -128,67 +130,46 @@ def replay(chain: KeyChain, steps) -> XPoly:
 
 
 def _body(chain: KeyChain, i: int, ell: int):
-    """The relation generator of the pair (i, ell) and the chain-cached list
-    [P^0, P^1, ...] of powers of its body P = Q_{li}/b_{li}, which
-    buildings, reductions and their traces share.  Only an I1 pair has a
+    """The relation generator of the pair (i, ell).  Only an I1 pair has a
     variable X_ell; the final pair of a complete chain is g's (I2)."""
     gen = relation(chain, ell, i)
     if gen.kind != "I1":
         raise MalformedInput(f"({i}, {ell}) is an I2 pair: no X_{ell} to build or reduce")
-    table = chain.cache().setdefault("body_powers", {})
-    powers = table.get((ell, i))
-    if powers is None:
-        powers = table[(ell, i)] = [XPoly.const(1), gen.Q_poly / gen.b]
-    return gen, powers
+    return gen
 
 
 def building(chain: KeyChain, F: XPoly, i: int, ell: int, trace=None) -> XPoly:
     """(i, ell)-building: write F in powers of Q_{li}/b_{li} with X_i-degree
-    of the coefficients below deg_{Q_i} Q_l, then substitute X_ell."""
+    of the coefficients below deg_{Q_i} Q_l, then substitute X_ell.  The
+    trace cofactor is the exact quotient of output - F by the relation
+    generator in X_ell."""
     _check_positions(chain, F)
-    gen, powers = _body(chain, i, ell)
+    gen = _body(chain, i, ell)
     r = chain.entries[ell].Q.degree // chain.entries[i].Q.degree
     if F.degree_in(i) < r:
         return F
-    coeffs = power_expansion(F, powers[1], i)
+    coeffs = power_expansion(F, gen.Q_poly / gen.b, i)
     xell = XPoly.var(ell)
     out = coeffs[-1]
     for aj in reversed(coeffs[:-1]):
         out = out * xell + aj
     if trace is not None:
-        cof = _trace_cofactor(enumerate(coeffs), xell, powers, gen.b)
+        cof, rem = divmod_in_var(out - F, gen.relation_poly, ell)
+        if not rem.is_zero:
+            raise AssertionError("building is not a multiple of its relation generator")
         trace.append(TraceStep((i, ell), ell, cof, "building"))
     return out
 
 
 def reduction(chain: KeyChain, F: XPoly, i: int, ell: int, trace=None) -> XPoly:
-    """(i, ell)-reduction: substitute Q_{li}/b_{li} for X_ell."""
+    """(i, ell)-reduction: substitute Q_{li}/b_{li} for X_ell, as the
+    remainder of F by the relation generator b X_ell - Q_{li} in X_ell; the
+    trace cofactor is minus the exact quotient."""
     _check_positions(chain, F)
-    gen, powers = _body(chain, i, ell)
-    out = F.substitute(ell, powers[1], powers)
+    quot, out = divmod_in_var(F, _body(chain, i, ell).relation_poly, ell)
     if trace is not None:
-        cof = _trace_cofactor(F.coeffs_in(ell).items(), XPoly.var(ell), powers, gen.b)
-        trace.append(TraceStep((i, ell), ell, -cof, "reduction"))
+        trace.append(TraceStep((i, ell), ell, -quot, "reduction"))
     return out
-
-
-def _trace_cofactor(pairs, xell: XPoly, powers: list, b) -> XPoly:
-    """S / b with S = sum a_j H_j over the pairs (j, a_j), where
-    H_j = (X_ell^j - P^j) / (X_ell - P) follows H_1 = 1,
-    H_j = X_ell H_{j-1} + P^(j-1): sum a_j X_ell^j - sum a_j P^j =
-    (S / b) * (b X_ell - b P), and b X_ell - b P is the relation generator
-    of the pair.  `powers` is the shared list of powers of P."""
-    coeffs = dict(pairs)
-    top = max(coeffs, default=0)
-    extend_powers(powers, top - 1)
-    s_acc = XPoly.zero()
-    h = XPoly.zero()
-    for j in range(1, top + 1):
-        h = h * xell + powers[j - 1]
-        aj = coeffs.get(j)
-        if aj is not None and not aj.is_zero:
-            s_acc = s_acc + aj * h
-    return s_acc / b
 
 
 def _window(chain: KeyChain, F: XPoly, s: int, through=None):

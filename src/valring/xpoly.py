@@ -144,11 +144,6 @@ class XPoly(_QPoly):
     def degree_in(self, pos: int) -> int:
         return max((monom_degree_in(m, pos) for m in self.nums), default=0)
 
-    def coeffs_in(self, pos: int):
-        """Decompose as a polynomial in X_pos: dict exponent -> XPoly free
-        of X_pos."""
-        return {e: XPoly._make(t, self.den) for e, t in _split(self.nums, pos).items()}
-
     # -- arithmetic ----------------------------------------------------------
 
     def __hash__(self):
@@ -186,20 +181,7 @@ class XPoly(_QPoly):
             return XPoly.const(other)
         raise TypeError(f"cannot coerce {other!r}")
 
-    # -- substitution ----------------------------------------------------------
-
-    def substitute(self, pos: int, repl: "XPoly", powers=None) -> "XPoly":
-        """X_pos -> repl.  `powers`, when given, is a list [repl^0, repl^1,
-        ...] that is read and extended in place (see `extend_powers`), so
-        callers substituting the same repl repeatedly share one table."""
-        parts = _split(self.nums, pos)
-        powers = extend_powers(powers or [XPoly.const(1), repl], max(parts, default=0))
-        den = lcm(*(powers[e].den for e in parts))
-        acc = {}
-        for e, t in parts.items():
-            pe = powers[e]
-            _mul_into(acc, t, pe.nums, den // pe.den)
-        return XPoly._make(acc, self.den * den)
+    # -- evaluation ------------------------------------------------------------
 
     def eval_unipoly(self, images: dict, powers=None) -> UniPoly:
         """Substitute UniPoly images for every variable; exact result in Q[x].

@@ -282,6 +282,18 @@ class TestMainExitCodes:
         out = capsys.readouterr().out
         assert json.loads(out)["I1"]
 
+    def test_seed_flag_overrides_config_seed(self, tmp_path, capsys):
+        # check's random probes hit 1 depth-cut refusal at seed 0, 4 at seed 2
+        doc = {"p": 2, "g": [7, 0, 1], "branch": [[0, 0]], "depth": 2}
+        texts = {}
+        for name, seed, flags in [("s0", 0, []), ("s2", 2, []), ("flag", 0, ["--seed", "2"])]:
+            path = self.write(tmp_path, {**doc, "seed": seed}, f"{name}.json")
+            assert main(["--config", path, "--command", "check", *flags]) == 0
+            texts[name] = capsys.readouterr().out
+        assert json.loads(texts["s0"])["completeness_probe"]["insufficient_depth"] == 1
+        assert json.loads(texts["s2"])["completeness_probe"]["insufficient_depth"] == 4
+        assert texts["flag"] == texts["s2"] != texts["s0"]
+
     def test_unsupported_normalization_exit1(self, tmp_path, capsys):
         path = self.write(tmp_path, {"p": 2, "g": ["2", "0", "1"]})
         assert main(["--config", path, "--command", "chain"]) == 1

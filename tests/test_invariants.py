@@ -8,7 +8,7 @@ from valring.expandval import truncate
 from valring.keychain import segment
 from valring.rewrite import total_s_building
 from valring.verify import eval_e
-from valring.xpoly import XPoly, mu0
+from valring.xpoly import XPoly, mu0, power_expansion
 
 from conftest import CTX2, rand_unipoly, rand_xpoly, recursive_truncate
 
@@ -61,7 +61,7 @@ class TestNeatCoefficientValues:
                 top = max(f_s.variables())
                 qtop = max(seg.q_of[k] for k in F.variables())
                 pos = seg.plateaus[qtop - 1].first + s
-                for e, coeff in f_s.coeffs_in(top).items():
+                for e, coeff in enumerate(power_expansion(f_s, XPoly.var(top), top)):
                     img = eval_e(chain, coeff)
                     if img.is_zero:
                         continue

@@ -91,14 +91,6 @@ def r_power_expansion(f, p, pos):
             return out
 
 
-def r_substitute(f, pos, repl):
-    out = {}
-    for m, c in f.items():
-        rest = {r_mono({k: v for k, v in m if k != pos}): c}
-        out = r_add(out, r_mul(rest, r_pow(repl, r_deg(m, pos))))
-    return out
-
-
 def r_conv(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -211,17 +203,6 @@ def test_power_expansion(f, div):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         same(a, b)
-
-
-@settings(max_examples=80, deadline=None)
-@given(refs, st.sampled_from(POSITIONS), refs.filter(lambda f: len(f) <= 3))
-def test_substitute(f, pos, repl):
-    want = r_substitute(f, pos, repl)
-    same(X(f).substitute(pos, X(repl)), want)
-    # a shared power table gives the same answer on reuse
-    powers = [XPoly.const(1), X(repl)]
-    same(X(f).substitute(pos, X(repl), powers), want)
-    same(X(f).substitute(pos, X(repl), powers), want)
 
 
 images_st = st.fixed_dictionaries(
