@@ -28,6 +28,7 @@ from .algebra import (
     UniPoly,
     ValuedFieldCtx,
     _embedded,
+    _ieval,
     _iexpand,
     _intval,
     hensel_root,
@@ -498,7 +499,8 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
 def _one_root(chain: KeyChain) -> bool:
     """Whether the top key is x - c with gamma >= 1, deg g >= 2 and g's value
     line least at indices 0 and 1 only: then g has exactly one root eta with
-    v(eta - c) >= gamma, and v(eta - c) = gamma."""
+    v(eta - c) >= gamma, and v(eta - c) = gamma; `_hensel_tail` lifts eta
+    and decides the depth cut from it."""
     top = chain.entries[-1]
     if top.Q.degree != 1 or top.gamma < 1 or chain.g.degree < 2:
         return False
@@ -508,35 +510,55 @@ def _one_root(chain: KeyChain) -> bool:
 
 
 def _hensel_tail(chain: KeyChain, depth: int) -> KeyChain:
-    """The rest of a `_one_root` chain up to `depth` keys, each one more
-    digit of eta, plus `augment`'s test of the candidate past `depth`.  Each
-    step is forced, so no pick is consumed: the residual polynomial r0 + r1 y
-    (residues of g(c), g'(c)) is linear, c' = c + z p^gamma with z = -r0/r1
-    as in `_refine_key`, and eta is the one root with v(eta - c') > gamma,
-    so the one admissible slope is the polygon's first edge at c', gamma' =
-    v(g(c')) - v(g'(c')), and the line at c' is again least at 0, 1 only."""
+    """The rest of a `_one_root` chain up to `depth` keys, `augment`'s test
+    of the candidate past `depth` and the depth-cut check, read off one lift
+    of eta.  At the top key x - c of value gamma, G(y) = g(c + p^gamma y) /
+    p^v0 (v0 the least of g's line) is integral with residual r0 + r1 y, so
+    `hensel_root` lifts its root y from -r0/r1 with G' a unit: eta =
+    c + p^gamma y.  Every step is forced: the entry's residue is y mod p, the
+    next key x - (eta mod p^(gamma + 1)), its value the position of eta's
+    next nonzero digit.  Where the digits run out, g at the candidate is 0
+    (g is reducible) or the lift doubles.  v(g') = S = v(g'(c)) on the disc,
+    which holds no other root, so the Hensel test from s = c_last mod
+    p^gamma_last passes iff v(eta - s) > S, else InsufficientDepth."""
     ctx, g = chain.ctx, chain.g
     p, fld, top = ctx.p, chain.entries[-2].res_field, chain.entries[-1]
-    entries = list(chain.entries[:-1])
-    # the top key's fields, carried as plain values until its entry is built
-    pos, Q, gamma = top.position, top.Q, top.gamma
+    c, gamma = -top.Q.nums[0], top.gamma
     digits, line = _g_expansion(chain)
-    v0, v1 = line[0], line[1] - gamma
+    v0, S = line[0], line[1] - gamma
+    G = UniPoly([d[0] * p ** (j * gamma) // p ** v0 if d else 0 for j, d in enumerate(digits)])
+    # eta's digits from position gamma: one per key and one past `depth`,
+    # room for twice the expected zero digits, and up to position S
+    n = max((depth - len(chain.entries) + 2) * (p + 1) // (p - 1), S + 1 - gamma)
+    y = hensel_root(ctx, G, ResidueClass(-G.nums[0] * pow(G.nums[1], -1, p) % p, 1), n).value
+    # eta = c % p^gamma + p^gamma (m + y): walk the digits of m + y, keeping
+    # the open entry, its residue and the candidate key past it
+    pw, m, entries, i = p ** gamma, c // p ** gamma, list(chain.entries[:-1]), 0
+    rest, d = divmod(m + y, p)
+    pos, Q, gam, z, key = top.position, top.Q, gamma, y % p, c % pw + d * pw
     while True:
-        z = -(digits[0][0] // p ** v0) * pow(digits[1][0] // p ** v1, -1, p) % p
-        key = UniPoly._raw((-((-Q.nums[0] + z * p ** gamma) % p ** (gamma + 1)), 1), 1)
-        nxt = _iexpand(g.nums, key.nums)
-        if not nxt[0]:
-            raise MalformedInput("candidate key divides g; g is reducible")
+        i, pw = i + 1, pw * p
+        if i == n:
+            if not _ieval(g.nums, key):
+                raise MalformedInput("candidate key divides g; g is reducible")
+            y = hensel_root(ctx, G, ResidueClass(y, n), 2 * n).value
+            n, rest = 2 * n, (m + y) // p ** i
+        rest, d = divmod(rest, p)
+        if not d:
+            continue
         if len(entries) + 1 >= depth:
             break
-        entries.append(_entry(ctx, pos, Q, gamma, fld, z, fld.gen))
-        digits, v0, v1 = nxt, _intval(p, nxt[0][0]), _intval(p, nxt[1][0])
-        pos, Q, gamma = pos + 1, key, v0 - v1
-    entries.append(top if Q is top.Q else _entry(ctx, pos, Q, gamma))
-    out = KeyChain(ctx, g, tuple(entries), chain.status, chain.mode, chain.branch_log)
-    out.cache()["g_expansion"] = (digits, {j: _intval(p, d[0]) + j * gamma
-                                           for j, d in enumerate(digits) if d})
+        entries.append(_entry(ctx, pos, Q, gam, fld, z, fld.gen))
+        pos, Q, gam, z = pos + 1, UniPoly._raw((-key, 1), 1), gamma + i, d
+        key += d * pw
+    s = -Q.nums[0] % p ** gam  # the seed of build_chain's Hensel test; eta = c + p^gamma y
+    if gam <= S and (c + p ** gamma * y - s) % p ** (S + 1):
+        raise InsufficientDepth(
+            f"depth {depth} is too shallow: the prefix pins no branch root")
+    if Q is not top.Q:
+        top = _entry(ctx, pos, Q, gam)
+    out = KeyChain(ctx, g, tuple(entries) + (top,), chain.status, chain.mode, chain.branch_log)
+    _g_expansion(out)  # the one Taylor shift of g, at the last key
     return out
 
 
@@ -548,7 +570,9 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
     (slope index, factor index) pairs consumed by choiceful steps in order:
     each step is offered the next pair its chain's branch log has not used.
     Once g has one root in the top linear key's disc (`_one_root`), each later
-    key is its next Hensel digit, written by `_hensel_tail` without `augment`.
+    key is a digit of that root, written by `_hensel_tail` without `augment`.
+    A depth cut (a last linear key that pins no root) raises InsufficientDepth,
+    decided by the tail from its root, else by a `hensel_root` here.
     """
     if depth < 1:
         raise MalformedInput("depth must be >= 1")
@@ -556,9 +580,10 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
         raise MalformedInput(f"unknown mode {mode!r}")
     chain = gauss_start(ctx, g)
     picks = list(branch_selector) if branch_selector != "unique" else []
+    tail = False
     while not chain.complete:
         if _one_root(chain):
-            chain = _hensel_tail(chain, depth)
+            chain, tail = _hensel_tail(chain, depth), True
             break
         at_depth = len(chain.entries) >= depth
         used = len(chain.branch_log)
@@ -572,7 +597,7 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
             # depth reached and the next step only refines: stop here
             break
         chain = nxt
-    if not chain.complete and chain.entries[-1].Q.degree == 1:
+    if not (tail or chain.complete) and chain.entries[-1].Q.degree == 1:
         # a depth cut, not a prefix of an infinite plateau, if the seed fails
         seed = chain.branch_descriptor().seed
         try:

@@ -5,9 +5,11 @@ The reference below is that loop, verbatim.  Both must return the same
 seeds of the six deep branches lifted to 1-120 digits, on seeded generators
 with planted roots at p in {2, 3, 5, 7, 11, 13, 101, 1000003}, on close-root
 generators g = (x - a)(x - a - p^d) + p^N, where v(g') = d at the roots, on
-exact integer roots and on one named case per reachable refusal.  A 510-digit
-lift near the primality bound must finish well inside a second (the digit
-loop took seconds).
+exact integer roots, on one named case per reachable refusal and on the
+non-monic rescaled G(y) = g(c + p^gamma y) / p^v0 that the chain's Hensel
+tail lifts, whose leading coefficient is p^(n*gamma - v0).  A 510-digit lift
+near the primality bound must finish well inside a second (the digit loop
+took seconds).
 """
 
 import random
@@ -16,7 +18,8 @@ from fractions import Fraction
 
 import pytest
 
-from valring.algebra import INF, ResidueClass, UniPoly, ValuedFieldCtx, _ieval, _intval, hensel_root
+from valring.algebra import (INF, ResidueClass, UniPoly, ValuedFieldCtx, _ieval, _intval, _taylor,
+                             hensel_root)
 from valring.errors import MalformedInput, NoConvergence
 from valring.keychain import build_chain
 
@@ -150,6 +153,74 @@ def test_exact_integer_roots(p):
             for n in range(1, 21):
                 got = same(p, g, ResidueClass(a, j), n)
                 assert got == ResidueClass(a % p ** n, n)
+
+
+def rescaled(p, g, c, gamma):
+    """G(y) = g(c + p^gamma y) / p^v0, v0 the least value of g's Taylor
+    digits d_j at c raised along slope -gamma, with d_j p^(j*gamma - v0)
+    for coefficients; None unless that line is least at 0 and 1 only, where
+    G is integral with a linear residual."""
+    d = _taylor(g.nums, c)
+    line = {j: _intval(p, dj) + j * gamma for j, dj in enumerate(d) if dj}
+    v0 = min(line.values())
+    if [j for j, v in line.items() if v == v0] != [0, 1]:
+        return None
+    G = UniPoly([dj * p ** (j * gamma) // p ** v0 for j, dj in enumerate(d)])
+    assert G.nums[-1] == p ** (g.degree * gamma - v0) and G.den == 1
+    return G
+
+
+def lift_rescaled(p, G):
+    y0 = -G.nums[0] * pow(G.nums[1], -1, p) % p
+    got = [same(p, G, ResidueClass(y0, 1), n) for n in range(1, 41)]
+    assert lifted(got) == 40
+    # reseeded from its own lift, as the tail doubles its precision
+    for j in (2, 5, 20):
+        same(p, G, ResidueClass(got[j - 1].value, j), 2 * j)
+    # and a seed off the root, which G's unit derivative refuses
+    same(p, G, ResidueClass(y0 + 1, 1), 10)
+    return got
+
+
+@pytest.mark.parametrize("p, g, branch", [(p, g, b) for p, g, _, bs in DEEP for b in bs]
+                         + [(3, (1, -9, 0, 1), [[0, 0]]), (7, (-18, 9, -5, 44, 1), [[0, 0]]),
+                            (2, (1, 2, 4, 0, 1), [[0, 0]])])
+def test_rescaled_tail_polynomials(p, g, branch):
+    # G at every key of a built chain whose line is least at 0 and 1 only:
+    # the tail's start and the later keys of its plateau
+    chain = build_chain(ValuedFieldCtx(p), UniPoly(g), branch, 8)
+    found = 0
+    for ent in chain.entries[1:]:
+        G = rescaled(p, chain.g, -ent.Q.nums[0], ent.gamma)
+        if G is not None:
+            assert not G.is_monic
+            lift_rescaled(p, G)
+            found += 1
+    assert found >= 6
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_rescaled_planted_roots(p):
+    # g = (x - a)(x - a - p^e w) h(x), e < gamma, with h(a) a unit: a is the
+    # one root in the disc of c = a + p^gamma t, so G is integral with a
+    # linear residual and leading coefficient p^(deg g * gamma - v0)
+    rng = random.Random(1000 + p)
+    done = 0
+    while done < 60:
+        a, gamma = rng.randrange(-p ** 5, p ** 5), rng.randint(1, 4)
+        e, w = rng.randrange(gamma), rng.randrange(1, p ** 2)
+        h = UniPoly([rng.randrange(-p * p, p * p + 1) for _ in range(rng.randrange(3))] + [1])
+        g = UniPoly((-a, 1)) * UniPoly((-a - p ** e * w, 1)) * h
+        if _ieval(h.nums, a) % p == 0:
+            continue
+        c = a + p ** gamma * rng.randrange(-p ** 3, p ** 3)
+        G = rescaled(p, g, c, gamma)
+        if G is None:
+            continue
+        got = lift_rescaled(p, G)
+        # the lifted root is the planted one: c + p^gamma y = a
+        assert not G.is_monic and got[-1].value == (a - c) // p ** gamma % p ** 40
+        done += 1
 
 
 @pytest.mark.parametrize("name, p, g, seed, n, expected", [
