@@ -560,15 +560,16 @@ def hensel_root(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, n_digits: i
     x' = x - (g(x)/p**d) u**-1 with u = g'(x)/p**d a unit gives
     root == x' mod p**(2k - d), since v(g(x)/p**d) >= k (so u**-1 mod
     p**(k - d) suffices) and the Taylor terms of order >= 2 have value
-    >= 2k.  One exact test, v(g(x)) >= k + d, certifies the result.
+    >= 2k.  g and g' are evaluated once per iterate, and one exact test on
+    the last iterate's g(x), v(g(x)) >= k + d, certifies the result.
     """
     if not g.is_integral or g.is_zero:
         raise MalformedInput("hensel_root needs a nonzero integral polynomial")
     p = ctx.p
     s = seed.value % (p ** seed.precision)
     gn, dn = g.nums, g.derivative().nums
-    vg = _intval(p, _ieval(gn, s))
-    d = _intval(p, _ieval(dn, s))
+    gx, dx = _ieval(gn, s), _ieval(dn, s)
+    vg, d = _intval(p, gx), _intval(p, dx)
     if d is INF:
         raise NoConvergence("derivative vanishes at seed")
     if not (vg is INF or vg > 2 * d):
@@ -576,11 +577,13 @@ def hensel_root(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, n_digits: i
             f"seed not Hensel-liftable: v(g(s))={vg} <= 2*v(g'(s))={2 * d}")
     k, x = vg + -d, s  # root == x mod p**k; k is INF at an exact root
     while k < n_digits:
-        unit = _ieval(dn, x) // p ** d
-        step = _ieval(gn, x) // p ** d * pow(unit, -1, p ** (k - d))
+        step = gx // p ** d * pow(dx // p ** d, -1, p ** (k - d))
         k = 2 * k - d
         x = (x - step) % p ** k
-    if _intval(p, _ieval(gn, x)) < k + d:
+        gx = _ieval(gn, x)
+        if k < n_digits:
+            dx = _ieval(dn, x)
+    if _intval(p, gx) < k + d:
         raise NoConvergence("Newton lift failed its certificate v(g(x)) >= k + v(g'(x))")
     r = x % (p ** n_digits)
     if r % (p ** min(seed.precision, n_digits)) != s % (p ** min(seed.precision, n_digits)):
@@ -652,10 +655,8 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
     # eta == r mod p^n and h's numerators are integers, so v(h(r)) < n is
     # v(h(eta)); the bound is built only when the root does not certify
     margin, bound = 2, None
-    root = cache.get("hensel_root")
-    if root is None:
-        root = hensel_root(ctx, g, seed, max(seed.precision + 2, 8))
-    n = root.precision
+    root = cache.get("hensel_root", seed)
+    n = max(root.precision, seed.precision + 2, 8)
     while True:
         if root.precision < n:
             root = hensel_root(ctx, g, root, n)

@@ -469,8 +469,8 @@ def augment(chain: KeyChain, branch_choice=None) -> KeyChain:
             new_field, emb, z_top = fld, fld.gen, fld.neg(phi[0])
             cand = _refine_key(chain, z_top, fld)
         else:
-            new_field, emb, z_top = fld.extend_by(phi)
             cand = _jump_key(chain, phi, fld)
+            new_field, emb, z_top = fld.extend_by(phi)
         slopes, cand_digits, pts = _admissible_slopes(chain, cand)
         if not slopes:
             raise AssertionError("no admissible slope for a freshly built key")
@@ -511,16 +511,16 @@ def _one_root(chain: KeyChain) -> bool:
 
 def _hensel_tail(chain: KeyChain, depth: int) -> KeyChain:
     """The rest of a `_one_root` chain up to `depth` keys, `augment`'s test
-    of the candidate past `depth` and the depth-cut check, read off one lift
-    of eta.  At the top key x - c of value gamma, G(y) = g(c + p^gamma y) /
+    of the candidate past `depth` and the depth cut, read off one lift of
+    eta.  At the top key x - c of value gamma, G(y) = g(c + p^gamma y) /
     p^v0 (v0 the least of g's line) is integral with residual r0 + r1 y, so
     `hensel_root` lifts its root y from -r0/r1 with G' a unit: eta =
     c + p^gamma y.  Every step is forced: the entry's residue is y mod p, the
     next key x - (eta mod p^(gamma + 1)), its value the position of eta's
     next nonzero digit.  Where the digits run out, g at the candidate is 0
     (g is reducible) or the lift doubles.  v(g') = S = v(g'(c)) on the disc,
-    which holds no other root, so the Hensel test from s = c_last mod
-    p^gamma_last passes iff v(eta - s) > S, else InsufficientDepth."""
+    which holds no other root, so the oracle seed s = c_last mod p^gamma_last
+    lifts, and to eta, iff v(eta - s) > S: `build_chain`'s cut rule."""
     ctx, g = chain.ctx, chain.g
     p, fld, top = ctx.p, chain.entries[-2].res_field, chain.entries[-1]
     c, gamma = -top.Q.nums[0], top.gamma
@@ -551,7 +551,7 @@ def _hensel_tail(chain: KeyChain, depth: int) -> KeyChain:
         entries.append(_entry(ctx, pos, Q, gam, fld, z, fld.gen))
         pos, Q, gam, z = pos + 1, UniPoly._raw((-key, 1), 1), gamma + i, d
         key += d * pw
-    s = -Q.nums[0] % p ** gam  # the seed of build_chain's Hensel test; eta = c + p^gamma y
+    s = -Q.nums[0] % p ** gam  # the chain's oracle seed; eta = c + p^gamma y
     if gam <= S and (c + p ** gamma * y - s) % p ** (S + 1):
         raise InsufficientDepth(
             f"depth {depth} is too shallow: the prefix pins no branch root")
@@ -571,8 +571,9 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
     each step is offered the next pair its chain's branch log has not used.
     Once g has one root in the top linear key's disc (`_one_root`), each later
     key is a digit of that root, written by `_hensel_tail` without `augment`.
-    A depth cut (a last linear key that pins no root) raises InsufficientDepth,
-    decided by the tail from its root, else by a `hensel_root` here.
+    A chain stopped on a linear key of value gamma is a depth cut, raising
+    InsufficientDepth, unless its oracle (`KeyChain.nu`) gives the key gamma:
+    the tail decides this from its root, other chains ask the oracle.
     """
     if depth < 1:
         raise MalformedInput("depth must be >= 1")
@@ -580,31 +581,31 @@ def build_chain(ctx: ValuedFieldCtx, g: UniPoly, branch_selector="unique",
         raise MalformedInput(f"unknown mode {mode!r}")
     chain = gauss_start(ctx, g)
     picks = list(branch_selector) if branch_selector != "unique" else []
-    tail = False
     while not chain.complete:
         if _one_root(chain):
-            chain, tail = _hensel_tail(chain, depth), True
+            chain = _hensel_tail(chain, depth)
             break
         at_depth = len(chain.entries) >= depth
         used = len(chain.branch_log)
         try:
             nxt = augment(chain, tuple(picks[used]) if used < len(picks) else None)
         except AmbiguousBranch:
-            if at_depth:
-                break
-            raise
+            if not at_depth:
+                raise
+            nxt = chain  # a choice past the depth: stop here
         if at_depth and not nxt.complete:
-            # depth reached and the next step only refines: stop here
+            # depth reached and the next step only refines: a depth cut
+            # unless a linear top key has the value the oracle gives it
+            top = chain.entries[-1]
+            try:
+                pinned = top.Q.degree > 1 or chain.nu(top.Q).value == top.gamma
+            except NoConvergence:
+                pinned = False
+            if not pinned:
+                raise InsufficientDepth(
+                    f"depth {depth} is too shallow: the prefix pins no branch root")
             break
         chain = nxt
-    if not (tail or chain.complete) and chain.entries[-1].Q.degree == 1:
-        # a depth cut, not a prefix of an infinite plateau, if the seed fails
-        seed = chain.branch_descriptor().seed
-        try:
-            hensel_root(ctx, g, seed, seed.precision)
-        except NoConvergence:
-            raise InsufficientDepth(
-                f"depth {depth} is too shallow: the prefix pins no branch root") from None
     if mode == COLLAPSED:
         chain = collapse(chain)
     return chain

@@ -54,14 +54,11 @@ def check_relations(chain: KeyChain):
     out = []
     for gen in gens.i1:
         ev = eval_e(chain, gen.relation_poly)
-        rel_neat = is_neat(chain, gen.relation_poly)
         details = {
             "kernel": ev.is_zero,
             "mu0_zero": mu0(ctx, gen.Q_poly) == 0,
             "b_positive": pval(ctx, gen.b) > 0,
             "q_neat": is_neat(chain, gen.Q_poly).neat,
-            "relation_neat": rel_neat.neat,
-            "neat_note": rel_neat.note,
         }
         ok = details["kernel"] and details["mu0_zero"] and details["b_positive"] \
             and details["q_neat"]
