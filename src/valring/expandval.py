@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .algebra import INF, UniPoly, _iexpand, _intval, _taylor, is_finite
+from .algebra import INF, UniPoly, _ieval, _iexpand, _intval, _taylor, is_finite
 from .errors import InsufficientDepth, MalformedInput
 from .keychain import KeyChain, segment
 from .xpoly import XPoly, monom, mu0
@@ -46,18 +46,26 @@ def truncate(chain: KeyChain, i: int, f: UniPoly):
     d_j of f's numerators at c, and term j is v_p(d_j) - v_p(den) + j*gamma_i.
     v_p(d_j) >= 0, so j*gamma_i - v_p(den) bounds term j from below, and the
     bound grows with j (gamma_i >= 0): the scan stops once it reaches the
-    least term found, and the digits past it are never valued."""
+    least term found, and the digits past it are never valued.  Digit 0 =
+    f(c) comes first, from one Horner pass over f's numerators; the Taylor
+    shift runs only when the bound gamma_i - v_p(den) at j = 1 is below
+    digit 0's term, and the scan then goes on from j = 1."""
     ent = chain.entry(i)
     gamma, qn = ent.gamma, ent.Q.nums
     if len(qn) != 2 or gamma is INF:
         return min(_line(chain, i, f, "truncation").values(), default=INF)
     p = chain.ctx.p
     vden = _intval(p, f.den)
-    best = INF
-    for j, c in enumerate(_taylor(f.nums, -qn[0])):
+    t = -qn[0]
+    d0 = _ieval(f.nums, t)
+    best = _intval(p, d0) - vden if d0 else INF
+    if gamma - vden >= best:
+        return best
+    digits = _taylor(f.nums, t)
+    for j in range(1, len(digits)):
         if (low := j * gamma - vden) >= best:
             break
-        if c and (v := _intval(p, c) + low) < best:
+        if (c := digits[j]) and (v := _intval(p, c) + low) < best:
             best = v
     return best
 

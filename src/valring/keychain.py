@@ -31,6 +31,8 @@ from .algebra import (
     _ieval,
     _iexpand,
     _intval,
+    _new,
+    _set,
     hensel_root,
     is_finite,
     nu_oracle,
@@ -68,11 +70,17 @@ class ChainEntry:
     emb_prev: int | None = None             # image of previous entry's field generator
 
 
-def _entry(ctx: ValuedFieldCtx, position: int, Q: UniPoly, gamma: int, *res) -> ChainEntry:
-    # res: the residue data (res_field, z, emb_prev) of a finished entry.  Q
-    # is monic integral, so its numerators over a are in lowest terms
+def _entry(ctx: ValuedFieldCtx, position: int, Q: UniPoly, gamma: int,
+           res_field=None, z=None, emb_prev=None) -> ChainEntry:
+    # (res_field, z, emb_prev): the residue data of a finished entry.  Q is
+    # monic integral, so its numerators over a are in lowest terms.  Built
+    # past the frozen __init__, as `_QPoly._raw` builds a polynomial
     a = ctx.p ** gamma
-    return ChainEntry(position, Q, gamma, a, UniPoly._raw(Q.nums, a), *res)
+    out = _new(ChainEntry)
+    _set(out, "__dict__", {"position": position, "Q": Q, "gamma": gamma, "a": a,
+                           "Qt": UniPoly._raw(Q.nums, a), "res_field": res_field,
+                           "z": z, "emb_prev": emb_prev})
+    return out
 
 
 @dataclass(frozen=True)
@@ -175,17 +183,26 @@ class KeyChain:
     # -- oracle plumbing ------------------------------------------------------
 
     def branch_descriptor(self) -> BranchDescriptor:
+        """The chain's branch, built once and kept in its cache; the refusal
+        at a truncated plateau of degree > 1 is raised each time."""
+        cache = self.cache()
+        got = cache.get("branch")
+        if got is not None:
+            return got
         if self.complete:
             # a branch choice means g splits over Q_p, so no chain with a
             # branch log completes: a complete chain's extension is unique
-            return BranchDescriptor("unique")
-        last = self.entries[-1]
-        if last.Q.degree != 1:
-            raise OracleUnavailable(
-                "truncated plateau of degree > 1: branch root not in the completion")
-        c = -last.Q.nums[0]
-        seed = ResidueClass(c % self.ctx.p ** int(last.gamma), int(last.gamma))
-        return BranchDescriptor("hensel", seed)
+            got = BranchDescriptor("unique")
+        else:
+            last = self.entries[-1]
+            if last.Q.degree != 1:
+                raise OracleUnavailable(
+                    "truncated plateau of degree > 1: branch root not in the completion")
+            c = -last.Q.nums[0]
+            seed = ResidueClass(c % self.ctx.p ** int(last.gamma), int(last.gamma))
+            got = BranchDescriptor("hensel", seed)
+        cache["branch"] = got
+        return got
 
     def evaluate(self, F) -> UniPoly:
         """The evaluation X_i -> Qt_i(x) of a polynomial in the chain

@@ -13,11 +13,14 @@ integer and rational f (p | den, where the bound starts below 0, included),
 f with zero Taylor digits, constants and zero.  The oracle-free route
 (`conftest.recursive_truncate`) must equal the reference's recursive line on
 the same inputs.  On deep probe rows `truncate` must value fewer digits
-than the reference.
+than the reference, and no more on any row, and it reads digit 0 = f(c) by
+one Horner pass, so the rows make at most one Taylor shift each on the
+whole.  Chain entries built past the dataclass __init__ and the cached
+branch descriptor are checked here too.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 
 import pytest
@@ -26,7 +29,7 @@ import valring.expandval as expandval
 from valring.algebra import INF, UniPoly, ValuedFieldCtx, _iexpand, _intval
 from valring.errors import MalformedInput, OracleUnavailable
 from valring.expandval import truncate, truncations
-from valring.keychain import build_chain
+from valring.keychain import ChainEntry, _entry, build_chain
 
 from conftest import BRANCH_C, CTX2, GC, GD, recursive_truncate
 from test_value_cascade import DEEP, chains
@@ -143,6 +146,16 @@ def test_linear_key_scan_stops_at_the_bound():
     assert truncate(chain, 1, Q ** 3 * Fraction(1, 16)) == 2
 
 
+def _probe_rows():
+    """check's monotonicity probe on each deep branch: the chain and its 25
+    rows of f with coefficients in [-64, 64] and degree deg g."""
+    for p, g, depth, branch in [(p, g, d, b) for p, g, d, bs in DEEP for b in bs]:
+        chain = build_chain(ValuedFieldCtx(p), UniPoly(g), branch, depth)
+        rng = random.Random(str(branch) + str(p))
+        yield (p, branch), chain, [UniPoly([rng.randrange(-64, 65) for _ in range(len(g))])
+                                   for _ in range(25)]
+
+
 def test_probe_rows_value_fewer_digits(monkeypatch):
     # check's monotonicity probe: 25 rows of f with coefficients in
     # [-64, 64] and degree deg g on each deep branch; every digit is a
@@ -155,13 +168,80 @@ def test_probe_rows_value_fewer_digits(monkeypatch):
 
     monkeypatch.setattr(expandval, "_intval", counted)
     monkeypatch.setitem(globals(), "_intval", counted)
-    for p, g, depth, branch in [(p, g, d, b) for p, g, d, bs in DEEP for b in bs]:
-        chain = build_chain(ValuedFieldCtx(p), UniPoly(g), branch, depth)
-        rng = random.Random(str(branch) + str(p))
-        rows = [UniPoly([rng.randrange(-64, 65) for _ in range(len(g))]) for _ in range(25)]
+    for (p, branch), chain, rows in _probe_rows():
         calls.clear()
         got = [truncations(chain, f) for f in rows]
         bounded = len(calls)
         calls.clear()
         assert got == [[ref_truncate(chain, i, f) for i in chain.star_positions] for f in rows]
         assert bounded < len(calls), (p, branch, bounded, len(calls))
+
+
+def test_probe_rows_shift_at_most_once_per_row(monkeypatch):
+    # digit 0 is valued by one Horner pass, and its term closes the scan at
+    # most positions, so the rows make at most one Taylor shift per row,
+    # where a shift per position would make 16 to 24
+    real, shifts = expandval._taylor, []
+
+    def counted(nums, t):
+        shifts.append(t)
+        return real(nums, t)
+
+    monkeypatch.setattr(expandval, "_taylor", counted)
+    for name, chain, rows in _probe_rows():
+        shifts.clear()
+        for f in rows:
+            truncations(chain, f)
+        assert len(shifts) <= len(rows), (name, len(shifts))
+
+
+def test_each_probe_row_values_no_more_digits(monkeypatch):
+    # row by row, digit 0 from the Horner pass and the scan after it value
+    # no more digits than the reference's whole line
+    real, calls = _intval, []
+
+    def counted(p, n):
+        calls.append(n)
+        return real(p, n)
+
+    monkeypatch.setattr(expandval, "_intval", counted)
+    monkeypatch.setitem(globals(), "_intval", counted)
+    for name, chain, rows in _probe_rows():
+        for f in rows:
+            calls.clear()
+            got = truncations(chain, f)
+            lazy = len(calls)
+            calls.clear()
+            assert got == [ref_truncate(chain, i, f) for i in chain.star_positions]
+            assert lazy <= len(calls), (name, f, lazy, len(calls))
+
+
+def test_entry_is_the_frozen_dataclass_instance():
+    # `_entry` sets the instance dict at once; the entry must still compare,
+    # hash, print and replace like ChainEntry(...) and refuse assignment
+    chain = build_chain(CTX2, GC, BRANCH_C, depth=4)
+    for ent in chain.entries[:-1]:
+        a = CTX2.p ** ent.gamma
+        res = (ent.res_field, ent.z, ent.emb_prev)
+        built = _entry(CTX2, ent.position, ent.Q, ent.gamma, *res)
+        want = ChainEntry(ent.position, ent.Q, ent.gamma, a, UniPoly._raw(ent.Q.nums, a), *res)
+        assert built == want == ent and hash(built) == hash(want)
+        assert repr(built) == repr(want)
+        assert replace(built, position=9) == replace(want, position=9)
+        with pytest.raises(FrozenInstanceError):
+            built.z = 1
+    bare = _entry(CTX2, 3, GC, 2)
+    assert (bare.res_field, bare.z, bare.emb_prev) == (None, None, None)
+
+
+def test_branch_descriptor_is_kept_in_the_chain_cache():
+    chain = build_chain(CTX2, GC, BRANCH_C, depth=4)
+    desc = chain.branch_descriptor()
+    assert desc.kind == "hensel" and chain.branch_descriptor() is desc
+    assert replace(chain).branch_descriptor() == desc
+    # the refusal at a truncated plateau of degree 2 is not kept
+    for _, cut in refusing_chains():
+        for _ in range(2):
+            with pytest.raises(OracleUnavailable):
+                cut.branch_descriptor()
+        assert "branch" not in cut.cache()
