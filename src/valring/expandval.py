@@ -11,7 +11,7 @@ from math import lcm
 from .algebra import INF, UniPoly, _ieval, _iexpand, _intval, _taylor, is_finite
 from .errors import InsufficientDepth, MalformedInput
 from .keychain import KeyChain, segment
-from .xpoly import XPoly, monom, mu0
+from .xpoly import XPoly, mu0
 
 
 def _line(chain: KeyChain, i: int, f: UniPoly, what: str) -> dict:
@@ -128,7 +128,9 @@ def _pick_common_position(chain: KeyChain, below_plateau: int, polys):
 
 def _cascade(chain: KeyChain, pending, k: int):
     """One cascade step: expand every nonconstant coefficient of the
-    (coefficient, exponent map) pairs in Qt_k, recording the exponent of X_k."""
+    (coefficient, exponents) pairs in Qt_k, appending (k, j) for X_k^j.
+    Cascades visit positions top down, so the exponents run by decreasing
+    position: a monomial reversed."""
     nxt = []
     for c, mono in pending:
         if c.degree == 0:
@@ -136,17 +138,17 @@ def _cascade(chain: KeyChain, pending, k: int):
             continue
         for j, d in enumerate(chain.qt_expansion(k, c)):
             if not d.is_zero:
-                nxt.append((d, {**mono, k: j} if j else mono))
+                nxt.append((d, mono + ((k, j),) if j else mono))
     return nxt
 
 
 def _assemble(chain: KeyChain, anchor: int, pending) -> FullExpansion:
-    """Collect constant (coefficient, exponent map) pairs into an expansion:
+    """Collect constant (coefficient, exponents) pairs into an expansion:
     their numerators summed over the lcm of their denominators."""
     den = lcm(*(c.den for c, _ in pending))
     nums = {}
     for c, mono in pending:
-        m = monom(mono)
+        m = mono[::-1]
         nums[m] = nums.get(m, 0) + c.nums[0] * (den // c.den)
     poly = XPoly._make(nums, den)
     appearing = sorted({k for m in poly.nums for k, _ in m}, reverse=True)
@@ -158,11 +160,11 @@ def full_expansion(chain: KeyChain, i: int, f: UniPoly) -> FullExpansion:
     coefficients through one common position per lower plateau."""
     if f.is_zero:
         raise MalformedInput("no full expansion of zero")
-    ent = chain.entry(i)
-    if i not in chain.star_positions or not is_finite(ent.gamma):
+    # i_max is the one position of infinite value
+    if not is_finite(chain.entry(i).gamma):
         raise MalformedInput("anchor must be a pre-maximal position")
     seg = segment(chain)
-    pending = _cascade(chain, [(f, {})], i)
+    pending = _cascade(chain, [(f, ())], i)
     level_pos = i
     while any(c.degree >= 1 for c, _ in pending):
         nonconst = [c for c, _ in pending if c.degree >= 1]
@@ -176,7 +178,7 @@ def expansion_from_index_tuple(chain: KeyChain, f: UniPoly, anchor: int,
                                index_tuple) -> FullExpansion:
     """Reproduce an expansion from its appearing-index tuple: a pure cascade
     of expansions at exactly those positions, no valuation choices."""
-    pending = [(f, {})]
+    pending = [(f, ())]
     for k in sorted(set(index_tuple) | {anchor}, reverse=True):
         pending = _cascade(chain, pending, k)
     if any(c.degree >= 1 for c, _ in pending):

@@ -206,10 +206,13 @@ class KeyChain:
 
     def evaluate(self, F) -> UniPoly:
         """The evaluation X_i -> Qt_i(x) of a polynomial in the chain
-        variables, exactly in Q[x].  The powers Qt_i^v are kept in the
-        chain's cache."""
-        return F.eval_unipoly({k: ent.Qt for k, ent in enumerate(self.entries)},
-                              self.cache().setdefault("qt_powers", {}))
+        variables, exactly in Q[x].  The images Qt_i and their powers
+        Qt_i^v are kept in the chain's cache."""
+        cache = self.cache()
+        images = cache.get("qt_images")
+        if images is None:
+            images = cache["qt_images"] = {k: ent.Qt for k, ent in enumerate(self.entries)}
+        return F.eval_unipoly(images, cache.setdefault("qt_powers", {}))
 
     def nu(self, h: UniPoly) -> OracleValue:
         # chains are immutable, so the cached Hensel root and values stay
@@ -745,7 +748,17 @@ class CheckResult:
 def strongly_monic(chain: KeyChain, ell, i: int):
     """(passed, witness) for Q_ell (g at IMAX) strongly Q_i-monic: the
     Q_i-expansion is monic and its top index r attains the minimum of the
-    value line.  The witness holds r, the monic flag and the line."""
+    value line.  The witness holds r, the monic flag and the line.  Kept
+    per pair in the chain's cache, which `validate` and the I1 relations
+    both read."""
+    memo = chain.cache().setdefault("strongly_monic", {})
+    got = memo.get((ell, i))
+    if got is None:
+        got = memo[(ell, i)] = _strongly_monic(chain, ell, i)
+    return got
+
+
+def _strongly_monic(chain: KeyChain, ell, i: int):
     ql = chain.g if ell == IMAX else chain.entries[ell].Q
     ent = chain.entries[i]
     digits = _iexpand(ql.nums, ent.Q.nums)

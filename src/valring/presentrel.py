@@ -7,12 +7,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .algebra import _intval, pval
+from .algebra import _intval, _new, _set, pval
 from .errors import MalformedInput, NotInIdeal
 from .expandval import full_expansion
 from .keychain import IMAX, KeyChain, segment, strongly_monic
-from .xpoly import XPoly, divmod_in_var, mu0
+from .xpoly import XPoly, _mul_into, divmod_in_var, mu0
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ def relation(chain: KeyChain, ell, i: int) -> RelationGen:
 
 def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
     seg = segment(chain)
+    p = chain.ctx.p
     if ell == chain.imax_pos and chain.complete:
         ell = IMAX
     if ell == IMAX:
@@ -57,9 +59,15 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
             raise MalformedInput(f"position {i} is not a successor of the last key")
         exp = full_expansion(chain, i, chain.g)
         nu_g = exp.nu_value
-        b = Fraction(1, chain.ctx.p ** nu_g) if nu_g >= 0 else Fraction(chain.ctx.p ** -nu_g)
-        qpoly = exp.poly * b
-        gen = RelationGen("I2", IMAX, i, b, qpoly, seg.offset(i), None)
+        nums, den = exp.poly.nums, exp.poly.den
+        # b = p^(-nu_g) folds into the body's denominator (or numerators)
+        if nu_g >= 0:
+            b = Fraction(1, p ** nu_g)
+            qpoly = XPoly._make(nums, den * p ** nu_g)
+        else:
+            b = Fraction(p ** -nu_g)
+            qpoly = XPoly._make({m: c * b.numerator for m, c in nums.items()}, den)
+        kind, rel = "I2", None
     else:
         if i not in seg.q_of or ell != i + 1 or ell not in seg.q_of:
             raise MalformedInput(f"({ell}, {i}) is not a successor pair")
@@ -73,15 +81,18 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
         n1 = nums.get(((i, r),), 0)
         if n1 <= 0:
             raise AssertionError("pure power term missing despite strong monicity")
-        p = chain.ctx.p
         if _intval(p, n1) - _intval(p, den) != exp.nu_value:
             raise AssertionError("pure power term does not attain the minimum")
         b = Fraction(den, n1)
         qpoly = XPoly._make(nums, n1)
         rel = XPoly._make({((ell, 1),): den, **{m: -c for m, c in nums.items()}}, n1)
-        gen = RelationGen("I1", ell, i, b, qpoly, seg.offset(i), rel)
-    if mu0(chain.ctx, gen.Q_poly) != 0:
+        kind = "I1"
+    if mu0(chain.ctx, qpoly) != 0:
         raise AssertionError("relation body fails mu0 = 0")
+    # built past the frozen __init__, as `keychain._entry` builds an entry
+    gen = _new(RelationGen)
+    _set(gen, "__dict__", {"kind": kind, "target": ell, "source": i, "b": b,
+                           "Q_poly": qpoly, "level": seg.offset(i), "relation_poly": rel})
     return gen
 
 
@@ -90,19 +101,33 @@ class GeneratorSet:
     i1: tuple
     i2: tuple
 
+    def __post_init__(self):
+        # the I1 relations by target and the I2 bodies by source, indexed once
+        by_target = {}
+        for g in self.i1:
+            by_target.setdefault(g.target, []).append(g)
+        _set(self, "_i1_index", by_target)
+        _set(self, "_i2_index", {g.source: g for g in self.i2})
+
     def i1_by_target(self, ell: int):
-        hits = [g for g in self.i1 if g.target == ell]
+        hits = self._i1_index.get(ell, ())
         if len(hits) != 1:
             raise MalformedInput(f"expected one relation with target {ell}, got {len(hits)}")
         return hits[0]
 
+    def i2_by_source(self, i: int):
+        return self._i2_index[i]
+
     def combine(self, parts) -> XPoly:
         """sum cofactor * relation_poly over (I1 target, cofactor) pairs: the
-        re-expansion of every trace and certificate."""
-        acc = XPoly.zero()
-        for tgt, cof in parts:
-            acc = acc + cof * self.i1_by_target(tgt).relation_poly
-        return acc
+        re-expansion of every trace and certificate, its products summed
+        over one common denominator."""
+        prods = [(cof, self.i1_by_target(tgt).relation_poly) for tgt, cof in parts]
+        den = lcm(*(c.den * r.den for c, r in prods))
+        acc = {}
+        for c, r in prods:
+            _mul_into(acc, c.nums, r.nums, den // (c.den * r.den))
+        return XPoly._make(acc, den)
 
 
 def ideal_generators(chain: KeyChain) -> GeneratorSet:
@@ -176,13 +201,12 @@ def redundancy_cofactor(chain: KeyChain, i: int, i2: int):
     if not (i in final.positions and i2 in final.positions and i < i2):
         raise MalformedInput("need plateau positions i < i'")
     gens = ideal_generators(chain)
-    by_source = {g.source: g for g in gens.i2}
-    gi, gi2 = by_source[i], by_source[i2]
+    gi, gi2 = gens.i2_by_source(i), gens.i2_by_source(i2)
     c0 = gi.b / gi2.b
     if pval(chain.ctx, c0) < 0:
         raise AssertionError("redundancy scalar not integral")
-    d = gi.Q_poly - c0 * gi2.Q_poly
-    cof = i1_decompose(chain, d, gens)
-    if c0 * gi2.Q_poly + gens.combine(cof.items()) != gi.Q_poly:
+    c0q = c0 * gi2.Q_poly
+    cof = i1_decompose(chain, gi.Q_poly - c0q, gens)
+    if c0q + gens.combine(cof.items()) != gi.Q_poly:
         raise AssertionError("redundancy certificate failed to re-expand")
     return c0, cof

@@ -173,8 +173,7 @@ def membership(chain: KeyChain, F: XPoly) -> Certificate:
     s = max((seg.offset(k) for k in F.variables()), default=0)
     anchor = _membership_anchor(chain, s)
     s = max(s, seg.offset(anchor))
-    by_source = {g.source: g for g in gens.i2}
-    gen2 = by_source[anchor]
+    gen2 = gens.i2_by_source(anchor)
     gi = in_x0(chain, chain.g) * gen2.h  # h_i g, in the coordinate X_0 = Qt_0
     r_poly = XPoly.from_unipoly(in_x0(chain, image) // gi, 0)
     r_s = (total_s_building(chain, r_poly, s, through=anchor)

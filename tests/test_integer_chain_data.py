@@ -18,7 +18,7 @@ import pytest
 
 from valring.algebra import UniPoly, ValuedFieldCtx, is_finite, pval
 from valring.errors import MalformedInput, MathRejection, OracleUnavailable
-from valring.expandval import _cascade, full_expansion
+from valring.expandval import full_expansion
 from valring.keychain import build_chain
 from valring.xpoly import XPoly, monom
 
@@ -68,13 +68,28 @@ def test_entries_match_fraction_route(name):
         assert ent.Qt == ent.Q / Fraction(p) ** ent.gamma
 
 
+def ref_cascade(chain, pending, k):
+    """One cascade step on (coefficient, exponent map) pairs: every
+    nonconstant coefficient expanded in Qt_k, the exponent of X_k recorded
+    in a copy of its map."""
+    nxt = []
+    for c, mono in pending:
+        if c.degree == 0:
+            nxt.append((c, mono))
+            continue
+        for j, d in enumerate(chain.qt_expansion(k, c)):
+            if not d.is_zero:
+                nxt.append((d, {**mono, k: j}))
+    return nxt
+
+
 def ref_terms(chain, exp, f):
     """{monomial: Fraction} of the expansion by the Fraction route: the
-    cascade at the anchor and the appearing positions, constants summed as
-    Fractions."""
+    cascade at the anchor and the appearing positions, exponent maps made
+    canonical by `monom`, constants summed as Fractions."""
     pending = [(f, {})]
     for k in sorted(set(exp.index_tuple) | {exp.anchor}, reverse=True):
-        pending = _cascade(chain, pending, k)
+        pending = ref_cascade(chain, pending, k)
     terms = {}
     for c, mono in pending:
         m = monom(mono)
