@@ -433,26 +433,32 @@ class UniPoly(_QPoly):
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def qexpand(f: UniPoly, q: UniPoly, scale=1):
-    """The q-expansion of f: the unique (f_0, ..., f_n) with f = sum f_j q^j
-    and deg f_j < deg q.  Requires q monic integral of degree >= 1, as every
-    key and g is.
-
-    With `scale` a, digit j is multiplied by a^j: for q = a * qt that is
-    the qt-expansion.  The whole expansion is one pass of synthetic
-    divisions on the numerators of f (`_iexpand`), which share its den.
+def qexpand(nums, qn, scale=1) -> list:
+    """The q-expansion of the int list nums, for q monic integral with
+    numerators qn: the int lists d_j, without trailing zeros (an empty list
+    is a zero digit), with nums = sum d_j q^j and deg d_j < deg q.  Digit j
+    comes multiplied by the int scale^j: for q = a * qt and f = nums / den,
+    digit j over den is digit j of f's qt-expansion.  Every key and g is
+    monic integral; a divisor that is not (or is constant) raises
+    `MalformedDivisor`, as the numerators of a monic q with den > 1 lead
+    with that den.  `_iexpand` is the unscaled core.
     """
-    if q.degree < 1 or not q.is_monic or not q.is_integral:
+    if len(qn) < 2 or qn[-1] != 1:
         raise MalformedDivisor(
-            f"expansion divisor must be monic integral nonconstant, got {q!r}")
-    out = []
-    sn, sd = scale.numerator, scale.denominator
-    den = f.den
-    pn, pd = 1, 1
-    for d in _iexpand(f.nums, q.nums):
-        out.append(UniPoly._make([c * pn for c in d] if pn != 1 else d, den * pd))
-        pn, pd = pn * sn, pd * sd
-    return tuple(out)
+            f"expansion divisor must be monic integral nonconstant, got numerators {list(qn)}")
+    return _scaled(_iexpand(nums, qn), scale)
+
+
+def _scaled(digits, scale) -> list:
+    """The int digits of an expansion, digit j times the int scale^j: new
+    lists where the scale changes them (digits itself is left as it is)."""
+    if scale == 1:
+        return digits
+    out, s = [digits[0]] if digits else [], 1
+    for d in digits[1:]:
+        s *= scale
+        out.append([c * s for c in d])
+    return out
 
 
 def _taylor(nums, t) -> list:
@@ -488,33 +494,46 @@ def _iexpand(nums, qn) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Resultants, fraction-free
+# Resultants, by subresultant pseudo-remainders
 # ---------------------------------------------------------------------------
 
-def _bareiss_det(m) -> int:
-    """Fraction-free determinant of an integer matrix."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _iresultant(a, b) -> int:
+    """Res(a, b) of two nonconstant int lists by the subresultant PRS
+    (Cohen, *A Course in Computational Algebraic Number Theory*,
+    Alg. 3.3.7): contents out, then pseudo-remainders divided by g h^delta,
+    where every division is exact."""
+    ca, cb = gcd(*a), gcd(*b)
+    t = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    s = 1
+    if len(a) < len(b):
+        a, b = b, a
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            s = -1
+    g = h = 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da * db % 2:
+            s = -s
+        lb = b[-1] ** (delta + 1)
+        r = [c * lb for c in a]
+        _idivmod(r, b)
+        while r and not r[-1]:
+            r.pop()
+        if not r:
+            return 0
+        w = g * h ** delta
+        a, b = b, [c // w for c in r]
+        g = a[-1]
+        h = h * g ** delta // h ** delta
+    da = len(a) - 1
+    return s * t * (b[0] ** da // h ** (da - 1))
 
 
 def resultant(f: UniPoly, g: UniPoly) -> Fraction:
-    """Res_x(f, g), computed fraction-free from the Sylvester matrix."""
+    """Res_x(f, g): the subresultant PRS on the numerators (`_iresultant`)
+    over den(f)^deg g * den(g)^deg f."""
     if f.is_zero or g.is_zero:
         raise UndefinedResultant("resultant of the zero polynomial")
     n, m = f.degree, g.degree
@@ -522,21 +541,7 @@ def resultant(f: UniPoly, g: UniPoly) -> Fraction:
         return f.coeff(0) ** m
     if m == 0:
         return g.coeff(0) ** n
-    fi, gi = f.nums, g.nums
-    size = n + m
-    rows = []
-    for i in range(m):
-        row = [0] * size
-        for j, c in enumerate(reversed(fi)):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [0] * size
-        for j, c in enumerate(reversed(gi)):
-            row[i + j] = c
-        rows.append(row)
-    det = _bareiss_det(rows)
-    return Fraction(det, f.den ** m * g.den ** n)
+    return Fraction(_iresultant(f.nums, g.nums), f.den ** m * g.den ** n)
 
 
 # ---------------------------------------------------------------------------

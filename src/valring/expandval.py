@@ -6,9 +6,9 @@ expansion supports across infinite plateaus.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
-from .algebra import INF, UniPoly, _ieval, _iexpand, _intval, _taylor, is_finite
+from .algebra import (INF, UniPoly, _ieval, _iexpand, _intval, _new, _scaled, _set, _taylor,
+                      is_finite, qexpand)
 from .errors import InsufficientDepth, MalformedInput
 from .keychain import KeyChain, segment
 from .xpoly import XPoly, mu0
@@ -126,64 +126,80 @@ def _pick_common_position(chain: KeyChain, below_plateau: int, polys):
         "the truncated plateau is too shallow")
 
 
+def _terms(digits, k: int, mono=()) -> list:
+    """(digit, exponents) pairs of the nonzero digits of an expansion in
+    Qt_k, each appending (k, j) for X_k^j."""
+    return [(d, mono + ((k, j),) if j else mono) for j, d in enumerate(digits) if d]
+
+
 def _cascade(chain: KeyChain, pending, k: int):
-    """One cascade step: expand every nonconstant coefficient of the
-    (coefficient, exponents) pairs in Qt_k, appending (k, j) for X_k^j.
+    """One cascade step: expand every nonconstant int digit of the
+    (digit, exponents) pairs in Qt_k, all over f's one den: digit j of the
+    Q_k-expansion times a_k^j (`qexpand`), since Qt_k = Q_k / a_k.
     Cascades visit positions top down, so the exponents run by decreasing
     position: a monomial reversed."""
+    ent = chain.entries[k]
+    qn, a = ent.Q.nums, 1 if ent.a is None else ent.a
     nxt = []
-    for c, mono in pending:
-        if c.degree == 0:
-            nxt.append((c, mono))
-            continue
-        for j, d in enumerate(chain.qt_expansion(k, c)):
-            if not d.is_zero:
-                nxt.append((d, mono + ((k, j),) if j else mono))
+    for d, mono in pending:
+        if len(d) == 1:
+            nxt.append((d, mono))
+        else:
+            nxt += _terms(qexpand(d, qn, a), k, mono)
     return nxt
 
 
-def _assemble(chain: KeyChain, anchor: int, pending) -> FullExpansion:
-    """Collect constant (coefficient, exponents) pairs into an expansion:
-    their numerators summed over the lcm of their denominators."""
-    den = lcm(*(c.den for c, _ in pending))
+def _assemble(chain: KeyChain, anchor: int, pending, den: int) -> FullExpansion:
+    """Collect constant (digit, exponents) pairs over den into an
+    expansion, built past the frozen __init__ as `keychain._entry` builds
+    a chain entry."""
     nums = {}
-    for c, mono in pending:
+    for d, mono in pending:
         m = mono[::-1]
-        nums[m] = nums.get(m, 0) + c.nums[0] * (den // c.den)
+        nums[m] = nums.get(m, 0) + d[0]
     poly = XPoly._make(nums, den)
     appearing = sorted({k for m in poly.nums for k, _ in m}, reverse=True)
-    return FullExpansion(anchor, poly, mu0(chain.ctx, poly), tuple(appearing))
+    out = _new(FullExpansion)
+    _set(out, "__dict__", {"anchor": anchor, "poly": poly, "nu_value": mu0(chain.ctx, poly),
+                           "index_tuple": tuple(appearing)})
+    return out
 
 
-def full_expansion(chain: KeyChain, i: int, f: UniPoly) -> FullExpansion:
+def full_expansion(chain: KeyChain, i: int, f: UniPoly, digits=None) -> FullExpansion:
     """Constructive full i-th expansion: expand in Qt_i, then cascade the
-    coefficients through one common position per lower plateau."""
+    coefficients through one common position per lower plateau.  `digits`,
+    when given, is the Q_i-expansion of f's numerators (`_iexpand`), read
+    instead of computed again."""
     if f.is_zero:
         raise MalformedInput("no full expansion of zero")
     # i_max is the one position of infinite value
-    if not is_finite(chain.entry(i).gamma):
+    ent = chain.entry(i)
+    if not is_finite(ent.gamma):
         raise MalformedInput("anchor must be a pre-maximal position")
     seg = segment(chain)
-    pending = _cascade(chain, [(f, ())], i)
+    den = f.den
+    if digits is None:
+        pending = _cascade(chain, [(f.nums, ())], i)
+    else:
+        pending = _terms(_scaled(digits, ent.a), i)
     level_pos = i
-    while any(c.degree >= 1 for c, _ in pending):
-        nonconst = [c for c, _ in pending if c.degree >= 1]
+    while nonconst := [UniPoly._make(list(d), den) for d, _ in pending if len(d) > 1]:
         k = _pick_common_position(chain, seg.q_of[level_pos], nonconst)
         pending = _cascade(chain, pending, k)
         level_pos = k
-    return _assemble(chain, i, pending)
+    return _assemble(chain, i, pending, den)
 
 
 def expansion_from_index_tuple(chain: KeyChain, f: UniPoly, anchor: int,
                                index_tuple) -> FullExpansion:
     """Reproduce an expansion from its appearing-index tuple: a pure cascade
     of expansions at exactly those positions, no valuation choices."""
-    pending = [(f, ())]
+    pending = [(f.nums, ())]
     for k in sorted(set(index_tuple) | {anchor}, reverse=True):
         pending = _cascade(chain, pending, k)
-    if any(c.degree >= 1 for c, _ in pending):
+    if any(len(d) > 1 for d, _ in pending):
         raise MalformedInput("index tuple does not reach constant coefficients")
-    return _assemble(chain, anchor, pending)
+    return _assemble(chain, anchor, pending, f.den)
 
 
 def check_conditions(chain: KeyChain, exp: FullExpansion, f: UniPoly) -> dict:

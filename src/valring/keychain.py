@@ -36,7 +36,6 @@ from .algebra import (
     hensel_root,
     is_finite,
     nu_oracle,
-    qexpand,
 )
 from .errors import (
     AmbiguousBranch,
@@ -173,12 +172,6 @@ class KeyChain:
         if fld.is_zero(res):
             raise AssertionError("vanishing residue: evaluator used outside its domain")
         return min(line.values()) - _intval(p, den), res, fld
-
-    def qt_expansion(self, k: int, f: UniPoly):
-        """The Qt_k-expansion of f: digit j of the Q_k-expansion times
-        a_k^j, since Qt_k = Q_k / a_k."""
-        ent = self.entries[k]
-        return qexpand(f, ent.Q, 1 if ent.a is None else ent.a)
 
     # -- oracle plumbing ------------------------------------------------------
 
@@ -748,9 +741,10 @@ class CheckResult:
 def strongly_monic(chain: KeyChain, ell, i: int):
     """(passed, witness) for Q_ell (g at IMAX) strongly Q_i-monic: the
     Q_i-expansion is monic and its top index r attains the minimum of the
-    value line.  The witness holds r, the monic flag and the line.  Kept
-    per pair in the chain's cache, which `validate` and the I1 relations
-    both read."""
+    value line.  The witness holds r, the monic flag, the line and the
+    expansion's int digits.  Kept per pair in the chain's cache, which
+    `validate` and the I1 relations both read: an I1 relation's full
+    expansion starts from these digits."""
     memo = chain.cache().setdefault("strongly_monic", {})
     got = memo.get((ell, i))
     if got is None:
@@ -766,7 +760,7 @@ def _strongly_monic(chain: KeyChain, ell, i: int):
     monic = digits[r] == [1]
     vals = chain.value_line(i - 1, digits, ent.gamma)
     passed = monic and vals.get(r) == min(vals.values())
-    return passed, {"top_index": r, "monic": monic, "values": vals}
+    return passed, {"top_index": r, "monic": monic, "values": vals, "digits": digits}
 
 
 def validate(chain: KeyChain):

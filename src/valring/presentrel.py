@@ -71,9 +71,12 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
     else:
         if i not in seg.q_of or ell != i + 1 or ell not in seg.q_of:
             raise MalformedInput(f"({ell}, {i}) is not a successor pair")
-        if not strongly_monic(chain, ell, i)[0]:
+        passed, witness = strongly_monic(chain, ell, i)
+        if not passed:
             raise MalformedInput(f"Q_{ell} is not strongly Q_{i}-monic")
-        exp = full_expansion(chain, i, chain.entries[ell].Qt)
+        # Qt_ell has Q_ell's numerators: its first cascade step reads the
+        # Q_i-expansion that strong monicity made
+        exp = full_expansion(chain, i, chain.entries[ell].Qt, witness["digits"])
         r = chain.entries[ell].Q.degree // chain.entries[i].Q.degree
         # Qt_ell = (a_i^r / a_ell) Qt_i^r + lower terms, both keys monic, so
         # the pure power's numerator n1 over exp's den is positive: b = den/n1
@@ -85,7 +88,8 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
             raise AssertionError("pure power term does not attain the minimum")
         b = Fraction(den, n1)
         qpoly = XPoly._make(nums, n1)
-        rel = XPoly._make({((ell, 1),): den, **{m: -c for m, c in nums.items()}}, n1)
+        # exp.poly is canonical, so gcd(n1, den, nums) = 1: rel is too
+        rel = XPoly._raw({((ell, 1),): den, **{m: -c for m, c in nums.items()}}, n1)
         kind = "I1"
     if mu0(chain.ctx, qpoly) != 0:
         raise AssertionError("relation body fails mu0 = 0")
@@ -202,11 +206,21 @@ def redundancy_cofactor(chain: KeyChain, i: int, i2: int):
         raise MalformedInput("need plateau positions i < i'")
     gens = ideal_generators(chain)
     gi, gi2 = gens.i2_by_source(i), gens.i2_by_source(i2)
+    q, q2 = gi.Q_poly, gi2.Q_poly
     c0 = gi.b / gi2.b
     if pval(chain.ctx, c0) < 0:
         raise AssertionError("redundancy scalar not integral")
-    c0q = c0 * gi2.Q_poly
-    cof = i1_decompose(chain, gi.Q_poly - c0q, gens)
-    if c0q + gens.combine(cof.items()) != gi.Q_poly:
+    # d = Q_{imax,i} - c0 Q_{imax,i'}, both bodies' numerators over one den
+    m = c0.denominator * q2.den
+    den = lcm(q.den, m)
+    s, s2 = den // q.den, den // m * c0.numerator
+    nums = {mon: c * s for mon, c in q.nums.items()}
+    for mon, c in q2.nums.items():
+        nums[mon] = nums.get(mon, 0) - c * s2
+    d = XPoly._make(nums, den)
+    cof = i1_decompose(chain, d, gens)
+    # d is exactly Q_{imax,i} - c0 Q_{imax,i'}: the certificate re-expands
+    # to Q_{imax,i} exactly when its I1 part re-expands to d
+    if gens.combine(cof.items()) != d:
         raise AssertionError("redundancy certificate failed to re-expand")
     return c0, cof

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import UniPoly
+from .algebra import UniPoly, qexpand
 from .errors import MalformedInput, StepCapExceeded
 from .keychain import KeyChain, segment
 from .presentrel import ideal_generators, relation
@@ -235,10 +235,12 @@ def total_s_building(chain: KeyChain, F: XPoly, s: int, trace=None,
 
 
 def in_x0(chain: KeyChain, f: UniPoly) -> UniPoly:
-    """f in the coordinate X_0 = Qt_0: the constant coefficients of its
-    Qt_0-expansion (Qt_0 has degree 1; in full mode Qt_0 = x and f is
-    unchanged)."""
-    return UniPoly(tuple(c.coeff(0) for c in chain.qt_expansion(0, f)))
+    """f in the coordinate X_0 = Qt_0: the constant digits of its
+    Qt_0-expansion over f's den (Qt_0 has degree 1; in full mode Qt_0 = x
+    and f is unchanged)."""
+    ent = chain.entries[0]
+    digits = qexpand(f.nums, ent.Q.nums, 1 if ent.a is None else ent.a)
+    return UniPoly._make([d[0] if d else 0 for d in digits], f.den)
 
 
 def total_reduction(chain: KeyChain, F: XPoly, trace=None) -> UniPoly:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import INF, UniPoly, pval
+from .algebra import INF, UniPoly, _intval
 from .errors import InsufficientDepth, MalformedInput, NotInIdeal
 from .expandval import full_expansion, truncate
 from .keychain import IMAX, KeyChain, segment
@@ -51,27 +51,25 @@ def check_relations(chain: KeyChain):
     neatness flags, and strictly decreasing v(b) along the final plateau."""
     gens = ideal_generators(chain)
     ctx = chain.ctx
+    p = ctx.p
     out = []
     for gen in gens.i1:
-        ev = eval_e(chain, gen.relation_poly)
+        b, q = gen.b, gen.Q_poly
         details = {
-            "kernel": ev.is_zero,
-            "mu0_zero": mu0(ctx, gen.Q_poly) == 0,
-            "b_positive": pval(ctx, gen.b) > 0,
-            "q_neat": is_neat(chain, gen.Q_poly).neat,
+            "kernel": eval_e(chain, gen.relation_poly).is_zero,
+            "mu0_zero": mu0(ctx, q) == 0,
+            "b_positive": _intval(p, b.numerator) > _intval(p, b.denominator),
+            "q_neat": is_neat(chain, q).neat,
         }
-        ok = details["kernel"] and details["mu0_zero"] and details["b_positive"] \
-            and details["q_neat"]
-        out.append(RelationCheck("I1", gen.target, gen.source, ok, details))
+        out.append(RelationCheck("I1", gen.target, gen.source, all(details.values()), details))
     prev = None
     for gen in sorted(gens.i2, key=lambda g: g.source):
-        ev = eval_e(chain, gen.Q_poly)
-        hg = chain.g * gen.h
-        vb = pval(ctx, gen.b)
+        b, q = gen.b, gen.Q_poly
+        vb = _intval(p, b.numerator) - _intval(p, b.denominator)
         details = {
-            "h_times_g": ev == hg,
-            "mu0_zero": mu0(ctx, gen.Q_poly) == 0,
-            "q_neat": is_neat(chain, gen.Q_poly).neat,
+            "h_times_g": eval_e(chain, q) == chain.g * gen.h,
+            "mu0_zero": mu0(ctx, q) == 0,
+            "q_neat": is_neat(chain, q).neat,
             "v_b": vb,
             "v_b_decreasing": prev is None or vb < prev,
         }

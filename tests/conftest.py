@@ -3,7 +3,7 @@ import random
 import pytest
 
 from valring.algebra import INF, UniPoly, ValuedFieldCtx, _iexpand, _intval
-from valring.errors import MalformedInput
+from valring.errors import MalformedDivisor, MalformedInput
 from valring.keychain import build_chain
 
 CTX2 = ValuedFieldCtx(2)
@@ -54,6 +54,22 @@ def chain_d():
 @pytest.fixture(scope="session")
 def all_chains(chain_a, chain_b, chain_c, chain_d):
     return {"A": chain_a, "B": chain_b, "C": chain_c, "D": chain_d}
+
+
+def qexpand_ref(f, q, scale=1) -> tuple:
+    """The q-expansion of the UniPoly f as UniPoly digits, digit j times
+    scale^j, by repeated `divmod`: the reference for `algebra.qexpand`, the
+    int digit engine, and for the Qt_k-expansions of the cascades it runs.
+    It refuses the divisors the engine refuses (q not monic integral, or
+    constant)."""
+    if q.degree < 1 or not q.is_monic or not q.is_integral:
+        raise MalformedDivisor(f"expansion divisor must be monic integral nonconstant, got {q!r}")
+    out, s = [], UniPoly((1,))
+    while not f.is_zero:
+        f, r = divmod(f, q)
+        out.append(r * s)
+        s = s * scale
+    return tuple(out)
 
 
 def recursive_line(chain, i, f) -> dict:

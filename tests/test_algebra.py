@@ -35,6 +35,8 @@ from valring.errors import (
     UndefinedResultant,
 )
 
+from conftest import qexpand_ref
+
 C2 = ValuedFieldCtx(2)
 
 
@@ -174,22 +176,22 @@ class TestUniPoly:
 
 class TestQexpand:
     def test_quadratic_shift(self):
-        out = qexpand(P(3, 0, 1), P(1, 1))
+        out = qexpand_ref(P(3, 0, 1), P(1, 1))
         assert out == (P(4), P(-2), P(1))
 
     def test_low_degree_passthrough(self):
-        assert qexpand(UniPoly.x(), P(1, 1, 1)) == (UniPoly.x(),)
+        assert qexpand_ref(UniPoly.x(), P(1, 1, 1)) == (UniPoly.x(),)
 
     def test_cube_in_quadratic(self):
-        assert qexpand(P(0, 0, 0, 1), P(1, 1, 1)) == (P(1), P(-1, 1))
+        assert qexpand_ref(P(0, 0, 0, 1), P(1, 1, 1)) == (P(1), P(-1, 1))
 
     def test_non_monic_rejected(self):
         with pytest.raises(MalformedDivisor):
-            qexpand(P(1, 1), P(1, 2))
+            qexpand(P(1, 1).nums, P(1, 2).nums)
         with pytest.raises(MalformedDivisor):
-            qexpand(P(1, 1), P(5))
+            qexpand(P(1, 1).nums, P(5).nums)
         with pytest.raises(MalformedDivisor):
-            qexpand(P(1, 1), UniPoly((Fraction(1, 2), 1)))
+            qexpand(P(1, 1).nums, UniPoly((Fraction(1, 2), 1)).nums)
 
     @settings(max_examples=60)
     @given(st.lists(st.integers(-9, 9), max_size=8),
@@ -197,12 +199,39 @@ class TestQexpand:
     def test_roundtrip(self, fc, qlow):
         f = UniPoly(fc)
         q = UniPoly(qlow + [1])
-        parts = qexpand(f, q)
+        parts = qexpand_ref(f, q)
         acc = UniPoly()
         for j, c in enumerate(parts):
             assert c.degree < q.degree
             acc = acc + c * q ** j
         assert acc == f
+
+    @settings(max_examples=150, derandomize=True)
+    @given(st.lists(st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 12)),
+                    max_size=10),
+           st.lists(st.integers(-50, 50), min_size=1, max_size=4),
+           st.sampled_from([1, 2, 3, 8, 5 ** 7]))
+    def test_int_digits_match_reference(self, fc, qlow, a):
+        """qexpand on f's numerators, digit j over f's den, is the divmod
+        reference's digit j scaled by a^j: the Qt-expansion for q = a Qt."""
+        f, q = UniPoly(fc), UniPoly(qlow + [1])
+        digits = qexpand(f.nums, q.nums, a)
+        assert all(not d or d[-1] for d in digits)
+        assert tuple(UniPoly._make(d, f.den) for d in digits) == qexpand_ref(f, q, a)
+
+    @pytest.mark.parametrize("qn", [(1, 2), (5,), (), (1, 0, 3), (1, -1)])
+    def test_refuses_a_divisor_that_is_not_monic(self, qn):
+        with pytest.raises(MalformedDivisor, match="monic integral nonconstant"):
+            qexpand((1, 2, 3), qn)
+
+    def test_refuses_a_non_integral_divisor(self):
+        # a monic q with den > 1 leads its numerators with that den
+        for q in (UniPoly((Fraction(1, 2), 1)), UniPoly((Fraction(1, 3), 0, 1))):
+            assert q.is_monic and not q.is_integral
+            with pytest.raises(MalformedDivisor):
+                qexpand((1, 2, 3), q.nums)
+            with pytest.raises(MalformedDivisor):
+                qexpand_ref(UniPoly((1, 2, 3)), q)
 
     @settings(max_examples=200, derandomize=True)
     @given(st.lists(st.one_of(st.just(0), st.integers(-50, 50)), max_size=10),
@@ -253,6 +282,68 @@ class TestResultant:
     def test_multiplicative_in_first_argument(self):
         f1, f2, g = P(1, 2, 1), P(3, 1), P(5, 1, 1)
         assert resultant(f1 * f2, g) == resultant(f1, g) * resultant(f2, g)
+
+    def test_matches_bareiss_on_random_pairs(self):
+        for f, g in random_pairs(random.Random(337), 300):
+            assert resultant(f, g) == bareiss_resultant(f, g), (f, g)
+
+    def test_matches_sympy_on_random_pairs(self):
+        # each pair ordered so that deg f >= deg g: sympy 1.14's `resultant`
+        # swaps a pair of odd degrees with deg f < deg g without the sign
+        # (-1)^(deg f deg g), e.g. Res(2 - 3y, y^3 + 1) = -27 g(2/3) = -35
+        # comes back as 35
+        sympy = pytest.importorskip("sympy")
+        y = sympy.symbols("y")
+        for f, g in random_pairs(random.Random(733), 60):
+            if f.degree < g.degree:
+                f, g = g, f
+            want = sympy.resultant(*(sum(sympy.Rational(c.numerator, c.denominator) * y ** i
+                                         for i, c in enumerate(h.coeffs)) for h in (f, g)), y)
+            got = resultant(f, g)
+            assert (got.numerator, got.denominator) == (want.p, want.q), (f, g)
+
+
+def random_pairs(rng, n):
+    """n pairs of nonzero rational polynomials of degree 0 to 24, a fifth
+    of them sharing a factor (resultant 0)."""
+    def draw(deg):
+        while True:
+            cs = [Fraction(rng.randrange(-30, 31), rng.choice((1, 1, 2, 3, 4)))
+                  for _ in range(deg + 1)]
+            if cs[-1]:
+                return UniPoly(cs)
+    out = []
+    for _ in range(n):
+        f, g = draw(rng.randrange(25)), draw(rng.randrange(25))
+        if rng.random() < 0.2:
+            h = draw(rng.randrange(1, 4))
+            f, g = f * h, g * h
+        out.append((f, g))
+    return out
+
+
+def bareiss_resultant(f, g):
+    """Res(f, g) as the fraction-free (Bareiss) determinant of the integer
+    Sylvester matrix of the numerators, over den(f)^deg g den(g)^deg f."""
+    n, m = f.degree, g.degree
+    if n == 0 or m == 0:
+        return f.coeff(0) ** m if n == 0 else g.coeff(0) ** n
+    size = n + m
+    rows = [[0] * i + list(reversed(f.nums)) + [0] * (size - n - 1 - i) for i in range(m)]
+    rows += [[0] * i + list(reversed(g.nums)) + [0] * (size - m - 1 - i) for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if rows[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if rows[i][k]), None)
+            if swap is None:
+                return Fraction(0)
+            rows[k], rows[swap] = rows[swap], rows[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                rows[i][j] = (rows[i][j] * rows[k][k] - rows[i][k] * rows[k][j]) // prev
+        prev = rows[k][k]
+    return Fraction(sign * rows[-1][-1], f.den ** m * g.den ** n)
 
 
 GC = P(7, 0, 1)  # the split quadratic used by the Hensel examples

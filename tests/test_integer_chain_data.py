@@ -22,6 +22,7 @@ from valring.expandval import full_expansion
 from valring.keychain import build_chain
 from valring.xpoly import XPoly, monom
 
+from conftest import qexpand_ref
 from test_fuzz import generator_doc
 from test_value_cascade import chains as cascade_chains
 
@@ -77,7 +78,8 @@ def ref_cascade(chain, pending, k):
         if c.degree == 0:
             nxt.append((c, mono))
             continue
-        for j, d in enumerate(chain.qt_expansion(k, c)):
+        ent = chain.entries[k]
+        for j, d in enumerate(qexpand_ref(c, ent.Q, 1 if ent.a is None else ent.a)):
             if not d.is_zero:
                 nxt.append((d, {**mono, k: j}))
     return nxt

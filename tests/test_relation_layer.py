@@ -2,8 +2,10 @@
 
 - A `check` expands Q_{i+1} in Q_i once per I1 pair: strong monicity is
   kept in the chain's cache, where `validate` and the I1 relation both
-  read it.  The count wraps `keychain._iexpand` while the check runs on an
-  already built chain, for each of the six deep branches of the benchmark.
+  read it, and the relation's full expansion starts from its digits.  The
+  count wraps `keychain._iexpand` and `algebra._iexpand` (under `qexpand`)
+  while the check runs on an already built chain, for each of the six deep
+  branches of the benchmark.
 - `GeneratorSet.i1_by_target` reads an index built once; it must return
   the very generator a scan of `i1` finds, on every suite chain (the
   worked contexts full and collapsed, the deep branches, seeded random
@@ -18,6 +20,7 @@ from collections import Counter
 
 import pytest
 
+import valring.algebra as algebra
 import valring.keychain as keychain
 from valring.cli import JobConfig, check_doc, deserialize
 from valring.errors import MalformedInput
@@ -37,13 +40,15 @@ def test_check_expands_each_i1_pair_once(monkeypatch, p, g, depth, branch):
         {"p": p, "g": list(g), "depth": depth, "branch": branch, "seed": 7})))
     chain = config.chain()
     calls = Counter()
-    plain = keychain._iexpand
+    plain = algebra._iexpand
+    assert keychain._iexpand is plain
 
     def counting(nums, qn):
         calls[(tuple(nums), tuple(qn))] += 1
         return plain(nums, qn)
 
     monkeypatch.setattr(keychain, "_iexpand", counting)
+    monkeypatch.setattr(algebra, "_iexpand", counting)
     doc = check_doc(chain, config)
     assert doc["validation_passed"] and doc["relations_passed"]
     pairs = [(i, ell) for i, ell, _ in segment(chain).succ_pairs if ell != IMAX]

@@ -3,10 +3,10 @@
 `KeyChain.resval` gives (value, residue, field) of a polynomial from the
 chain's entries, and `residual_poly` the residual polynomial along a segment
 of a Newton polygon.  The references below compute both as they ran on
-`UniPoly` digits: resval recursing on the Qt_k-expansion (`qexpand` with
-scale a_k) and summing the residues of the minimal digits times z_k^j, and
-each residual coefficient as the resval residue of the digit scaled by a
-power of p to value 0.  They must agree on the worked chains A-D, the six
+`UniPoly` digits: resval recursing on the Qt_k-expansion
+(`conftest.qexpand_ref` with scale a_k) and summing the residues of the
+minimal digits times z_k^j, and each residual coefficient as the resval
+residue of the digit scaled by a power of p to value 0.  They must agree on the worked chains A-D, the six
 deep branches of the benchmark, all of these collapsed, and seeded random
 generators, for random polynomials below the next plateau degree.
 """
@@ -18,10 +18,11 @@ from functools import cache
 
 import pytest
 
-from valring.algebra import INF, UniPoly, _embedded, _iexpand, _intval, is_finite, qexpand
+from valring.algebra import INF, UniPoly, _embedded, _iexpand, _intval, is_finite
 from valring.errors import MalformedInput, RamifiedBranch
 from valring.keychain import collapse, newton_polygon, residual_poly, segment
 
+from conftest import qexpand_ref
 from test_value_cascade import chains as cascade_chains
 from test_value_cascade import ref_value_below
 
@@ -43,7 +44,7 @@ def ref_resval(chain, k, f):
     fld = ent.res_field
     pairs = []
     best = INF
-    for j, fj in enumerate(qexpand(f, ent.Q, 1 if ent.a is None else ent.a)):
+    for j, fj in enumerate(qexpand_ref(f, ent.Q, 1 if ent.a is None else ent.a)):
         if fj.is_zero:
             continue
         v, r, sub = ref_resval(chain, k - 1, fj)
@@ -171,7 +172,7 @@ def test_residual_poly_matches_unipoly_route(name):
             continue
         for f in [chain.g] + _polys(rng, chain.g.degree + 1, 3):
             poly = newton_polygon(chain, i, f)
-            digits = qexpand(f, ent.Q)
+            digits = qexpand_ref(f, ent.Q)
             assert dict(poly.points) == {
                 j: ref_value_below(chain, i - 1, fj)
                 for j, fj in enumerate(digits) if not fj.is_zero}

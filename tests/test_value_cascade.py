@@ -7,25 +7,33 @@ and `s_set` on the oracle route and on the recursive one
 (`conftest.recursive_line`) must agree with them on the worked chains (full
 and collapsed), the six deep branches of the benchmark and a seeded sample
 of random generators.  Each augmentation step hands g's expansion in the new
-key to the chain it builds; that cache must equal a fresh expansion.
+key to the chain it builds; that cache must equal a fresh expansion.  The
+full expansions, which cascade int digits over f's one den, must equal the
+cascade as it ran on `UniPoly` digits summed over the lcm of their
+denominators, on every chain here, for `full_expansion` (also where an I1
+relation starts from strong monicity's digits) and for
+`expansion_from_index_tuple`.
 """
 
 import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valring.algebra import (INF, UniPoly, ValuedFieldCtx, _iexpand, _intval,
-                             is_finite, qexpand)
-from valring.errors import MalformedInput, MathRejection, OracleUnavailable
-from valring.expandval import SSet, s_set, truncate
-from valring.keychain import _g_expansion, build_chain, collapse
+from valring.algebra import INF, UniPoly, ValuedFieldCtx, _iexpand, _intval, is_finite
+from valring.errors import InsufficientDepth, MalformedInput, MathRejection, OracleUnavailable
+from valring.expandval import (FullExpansion, SSet, expansion_from_index_tuple, full_expansion,
+                               s_set, truncate)
+from valring.keychain import IMAX, _g_expansion, build_chain, collapse, segment, strongly_monic
+from valring.xpoly import XPoly, mu0
 
-from conftest import BRANCH_C, CTX2, GA, GB, GC, GD, recursive_line, recursive_truncate
+from conftest import (BRANCH_C, CTX2, GA, GB, GC, GD, qexpand_ref, recursive_line,
+                      recursive_truncate)
 
 # -- the reference: the cascade on UniPoly digits ------------------------------
 
@@ -41,14 +49,14 @@ def ref_value_below(chain, k, f):
     if not is_finite(ent.gamma) or f.degree < ent.Q.degree:
         return ref_value_below(chain, k - 1, f)
     return min(ref_value_below(chain, k - 1, fj) + j * ent.gamma
-               for j, fj in enumerate(qexpand(f, ent.Q)) if not fj.is_zero)
+               for j, fj in enumerate(qexpand_ref(f, ent.Q)) if not fj.is_zero)
 
 
 def ref_line(chain, i, f, recursive):
     ent = chain.entry(i)
     top = len(chain.entries) - 1
     out = {}
-    for j, fj in enumerate(qexpand(f, ent.Q)):
+    for j, fj in enumerate(qexpand_ref(f, ent.Q)):
         if fj.is_zero:
             continue
         if recursive or fj.degree == 0:
@@ -182,7 +190,7 @@ def test_truncate_and_s_set_match_reference(index, f):
 def _fresh(chain):
     """g's expansion in the top key and its value line, by the reference."""
     top = chain.entries[-1]
-    exp = qexpand(chain.g, top.Q)
+    exp = qexpand_ref(chain.g, top.Q)
     k = len(chain.entries) - 2
     return exp, {j: ref_value_below(chain, k, fj) + j * top.gamma
                  for j, fj in enumerate(exp) if not fj.is_zero}
@@ -238,4 +246,103 @@ def test_iexpand_reconstructs(nums, low):
     for j, d in enumerate(digits):
         back = back + UniPoly(d) * q ** j
     assert back == UniPoly(nums)
-    assert tuple(UniPoly(d) for d in digits) == qexpand(UniPoly(nums), q)
+    assert tuple(UniPoly(d) for d in digits) == qexpand_ref(UniPoly(nums), q)
+
+
+# -- full expansions: the cascade on UniPoly digits ----------------------------------
+
+def ref_cascade(chain, pending, k):
+    """One cascade step on (UniPoly coefficient, exponents) pairs: every
+    nonconstant coefficient expanded in Qt_k, (k, j) appended."""
+    ent = chain.entries[k]
+    nxt = []
+    for c, mono in pending:
+        if c.degree == 0:
+            nxt.append((c, mono))
+            continue
+        for j, d in enumerate(qexpand_ref(c, ent.Q, 1 if ent.a is None else ent.a)):
+            if not d.is_zero:
+                nxt.append((d, mono + ((k, j),) if j else mono))
+    return nxt
+
+
+def ref_assemble(chain, anchor, pending):
+    den = lcm(*(c.den for c, _ in pending))
+    nums = {}
+    for c, mono in pending:
+        m = mono[::-1]
+        nums[m] = nums.get(m, 0) + c.nums[0] * (den // c.den)
+    poly = XPoly._make(nums, den)
+    appearing = sorted({k for m in poly.nums for k, _ in m}, reverse=True)
+    return FullExpansion(anchor, poly, mu0(chain.ctx, poly), tuple(appearing))
+
+
+def ref_pick(chain, below_plateau, polys):
+    seg = segment(chain)
+    for k in chain.star_positions:
+        if seg.q_of[k] >= below_plateau:
+            break
+        if all(truncate(chain, k, c) == chain.nu(c).value for c in polys):
+            return k
+    raise InsufficientDepth("no common exact position")
+
+
+def ref_full_expansion(chain, i, f):
+    seg = segment(chain)
+    pending = ref_cascade(chain, [(f, ())], i)
+    level_pos = i
+    while nonconst := [c for c, _ in pending if c.degree >= 1]:
+        level_pos = ref_pick(chain, seg.q_of[level_pos], nonconst)
+        pending = ref_cascade(chain, pending, level_pos)
+    return ref_assemble(chain, i, pending)
+
+
+def ref_from_index_tuple(chain, f, anchor, index_tuple):
+    pending = [(f, ())]
+    for k in sorted(set(index_tuple) | {anchor}, reverse=True):
+        pending = ref_cascade(chain, pending, k)
+    if any(c.degree >= 1 for c, _ in pending):
+        raise MalformedInput("index tuple does not reach constant coefficients")
+    return ref_assemble(chain, anchor, pending)
+
+
+def settled(fn, *args):
+    """fn(*args), or the kind of its refusal."""
+    try:
+        return fn(*args)
+    except (InsufficientDepth, MalformedInput, OracleUnavailable) as e:
+        return type(e).__name__
+
+
+@pytest.mark.parametrize("name", [name for name, _ in chains()])
+def test_full_expansions_match_unipoly_cascade(name):
+    chain = dict(chains())[name]
+    rng = random.Random(name)
+    fs = [chain.g] + [ent.Qt for ent in chain.entries[1:] if is_finite(ent.gamma)]
+    fs += [UniPoly([Fraction(rng.randrange(-999, 1000), rng.randrange(1, 9))
+                    for _ in range(chain.g.degree + 1)]) for _ in range(3)]
+    built = 0
+    for i in chain.star_positions:
+        for f in fs:
+            got = settled(full_expansion, chain, i, f)
+            assert got == settled(ref_full_expansion, chain, i, f), (name, i, f)
+            if type(got) is str:
+                continue
+            built += 1
+            tuples = {got.index_tuple, tuple(range(i, -1, -1)), (0,), ()}
+            for tup in tuples:
+                assert settled(expansion_from_index_tuple, chain, f, i, tup) == \
+                    settled(ref_from_index_tuple, chain, f, i, tup), (name, i, f, tup)
+    assert built
+
+
+@pytest.mark.parametrize("name", [name for name, _ in chains()])
+def test_i1_expansions_from_strong_monicity_match_unipoly_cascade(name):
+    chain = dict(chains())[name]
+    pairs = [(i, ell) for i, ell, _ in segment(chain).succ_pairs if ell != IMAX]
+    for i, ell in pairs:
+        passed, witness = strongly_monic(chain, ell, i)
+        qt = chain.entries[ell].Qt
+        assert passed
+        assert settled(full_expansion, chain, i, qt, witness["digits"]) == \
+            settled(ref_full_expansion, chain, i, qt), (name, i, ell)
