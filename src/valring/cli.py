@@ -168,9 +168,46 @@ def serialize(doc) -> str:
 
 def _write_json(o, nl: str, out: list) -> None:
     """Append the JSON text of o to out; nl is the newline and indent of
-    o's own line.  Keys must be str; a float or any type outside JSON
-    raises TypeError."""
-    if isinstance(o, str):
+    o's own line.  A container writes its members of type str or int in
+    its own loop, with no call per scalar; other members, bool and
+    subclasses included, recur through the isinstance chain.  Keys must be
+    str; a float or any type outside JSON raises TypeError."""
+    if isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + " "
+        sep = "{" + inner
+        for k, v in sorted(o.items()):
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            head = sep + _json_str(k) + ": "
+            if (tv := type(v)) is str:
+                out.append(head + _json_str(v))
+            elif tv is int:
+                out.append(head + _int_text(v))
+            else:
+                out.append(head)
+                _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + " "
+        sep = "[" + inner
+        for x in o:
+            if (tx := type(x)) is str:
+                out.append(sep + _json_str(x))
+            elif tx is int:
+                out.append(sep + _int_text(x))
+            else:
+                out.append(sep)
+                _write_json(x, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(o, str):
         out.append(_json_str(o))
     elif o is None:
         out.append("null")
@@ -180,30 +217,6 @@ def _write_json(o, nl: str, out: list) -> None:
         out.append("false")
     elif isinstance(o, int):
         out.append(_int_text(o))
-    elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
-            return
-        inner = nl + " "
-        sep = "[" + inner
-        for x in o:
-            out.append(sep)
-            _write_json(x, inner, out)
-            sep = "," + inner
-        out.append(nl + "]")
-    elif isinstance(o, dict):
-        if not o:
-            out.append("{}")
-            return
-        inner = nl + " "
-        sep = "{" + inner
-        for k, v in sorted(o.items()):
-            if not isinstance(k, str):
-                raise TypeError(f"keys must be str, not {type(k).__name__}")
-            out.append(sep + _json_str(k) + ": ")
-            _write_json(v, inner, out)
-            sep = "," + inner
-        out.append(nl + "}")
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 

@@ -71,8 +71,30 @@ def truncate(chain: KeyChain, i: int, f: UniPoly):
 
 
 def truncations(chain: KeyChain, f: UniPoly) -> list:
-    """`truncate` at every star position, in order."""
-    return [truncate(chain, i, f) for i in chain.star_positions]
+    """`truncate` at every star position, in order, each computed position
+    through the module global.
+
+    When `truncate` at a linear key x - c_i returns t with t + v_p(den) <
+    gamma_i, every term j >= 1 lies above t, so t = v_p(f(c_i)) - v_p(den);
+    f's numerators are ints, so f(c_k) = f(c_i) mod a_i = p^gamma_i, and
+    every later linear key x - c_k with c_k = c_i mod a_i and gamma_k >=
+    gamma_i truncates to t too.  Such positions are filled with t, both
+    conditions checked at each; a key of degree > 1 drops the held t."""
+    vden = _intval(chain.ctx.p, f.den)
+    row, held = [], None
+    for i in chain.star_positions:
+        ent = chain.entries[i]
+        qn, gamma = ent.Q.nums, ent.gamma
+        if len(qn) != 2:
+            held = None
+        elif held and (qn[0] - held[0]) % held[1] == 0 and gamma >= held[2]:
+            row.append(held[3])
+            continue
+        t = truncate(chain, i, f)
+        if len(qn) == 2 and t + vden < gamma:
+            held = (qn[0], ent.a, gamma, t)
+        row.append(t)
+    return row
 
 
 @dataclass(frozen=True)

@@ -265,11 +265,13 @@ def _monom_key(m: Monom):
 
 
 def mu0(ctx, F: XPoly):
-    """Minimum of the p-adic values of the coefficients."""
+    """Minimum of the p-adic values of the coefficients: v_p of the
+    numerators' content, since min_j v_p(c_j) = v_p(gcd_j c_j), less
+    v_p(den)."""
     if F.is_zero:
         raise ValueError("mu0 of the zero polynomial")
     p = ctx.p
-    return min(_intval(p, c) for c in F.nums.values()) - _intval(p, F.den)
+    return _intval(p, gcd(*F.nums.values())) - _intval(p, F.den)
 
 
 def divmod_in_var(F: XPoly, P: XPoly, pos: int):

@@ -13,6 +13,7 @@ from valring.keychain import build_chain, segment
 from valring.xpoly import XPoly
 
 from conftest import CTX2, GA, GC, GD, rand_unipoly, recursive_truncate
+from test_truncate_bound import ref_truncate
 
 
 class TestTruncate:
@@ -29,16 +30,20 @@ class TestTruncate:
     def test_row_calls_truncate_per_position(self, monkeypatch):
         # the row reads `truncate` from the module's globals, so a counting
         # wrapper bound there (as a tracer binds it) sees every truncation
+        # the row computes: a prefix of the positions, up to the linear key
+        # whose value the rest of the row holds
         chain = build_chain(ValuedFieldCtx(2), UniPoly((7, 0, 1)), [[0, 0]], 24)
-        calls = []
+        f, calls = UniPoly((5, -3, 7)), []
 
         def counted(*args):
             calls.append(args[1])
             return truncate(*args)
 
         monkeypatch.setattr(expandval, "truncate", counted)
-        row = expandval.truncations(chain, UniPoly((5, -3, 7)))
-        assert calls == chain.star_positions and len(row) == 24
+        row = expandval.truncations(chain, f)
+        star = chain.star_positions
+        assert calls and calls == star[:len(calls)] and len(calls) < len(row) == 24
+        assert row == [ref_truncate(chain, i, f) for i in star]
 
     def test_agrees_with_recursive_evaluator(self, all_chains):
         rng = random.Random(11)

@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from valring.algebra import UniPoly
+from valring.algebra import UniPoly, ValuedFieldCtx, pval
 from valring.errors import MalformedInput
 from valring.expandval import truncate
 from valring.keychain import segment
@@ -37,6 +39,18 @@ class TestVdegMu0:
         assert mu0(CTX2, 4 * X(1) ** 2 - 4 * X(1) + ONE) == 0
         assert mu0(CTX2, XPoly.const(12)) == 2
         assert mu0(CTX2, 32 * X(3) ** 2 + 11 * X(3) + ONE) == 0
+
+    @given(st.data())
+    def test_mu0_is_the_least_coefficient_value(self, data):
+        # v_p of the numerators' content less v_p(den) is the least pval of
+        # the coefficients, for negative and huge numerators and dens
+        p = data.draw(st.sampled_from((2, 3, 5, 3317044064679887385961801)))
+        ctx = ValuedFieldCtx(p)
+        big = st.integers(-10 ** 60, 10 ** 60).filter(bool)
+        scaled = st.builds(lambda n, k: n * p ** k, big, st.integers(0, 40))
+        coeffs = data.draw(st.lists(st.builds(Fraction, scaled, scaled), min_size=1, max_size=6))
+        F = XPoly({((k, 1),): c for k, c in enumerate(coeffs)})
+        assert mu0(ctx, F) == min(pval(ctx, c) for c in F.terms.values())
 
 
 class TestPrecCompare:

@@ -15,8 +15,12 @@ f with zero Taylor digits, constants and zero.  The oracle-free route
 the same inputs.  On deep probe rows `truncate` must value fewer digits
 than the reference, and no more on any row, and it reads digit 0 = f(c) by
 one Horner pass, so the rows make at most one Taylor shift each on the
-whole.  Chain entries built past the dataclass __init__ and the cached
-branch descriptor are checked here too.
+whole.  The row `truncations` holds a linear key's value t once t +
+v_p(den) < gamma_i: on the deep probe rows it must equal the reference at
+every position while calling `truncate` on a prefix of them, and on a
+hand-built chain whose keys break the congruence or the gamma order it
+must value every position.  Chain entries built past the dataclass
+__init__ and the cached branch descriptor are checked here too.
 """
 
 import random
@@ -29,7 +33,7 @@ import valring.expandval as expandval
 from valring.algebra import INF, UniPoly, ValuedFieldCtx, _iexpand, _intval
 from valring.errors import MalformedInput, OracleUnavailable
 from valring.expandval import truncate, truncations
-from valring.keychain import ChainEntry, _entry, build_chain
+from valring.keychain import ChainEntry, KeyChain, _entry, build_chain
 
 from conftest import BRANCH_C, CTX2, GC, GD, recursive_truncate
 from test_value_cascade import DEEP, chains
@@ -148,12 +152,16 @@ def test_linear_key_scan_stops_at_the_bound():
 
 def _probe_rows():
     """check's monotonicity probe on each deep branch: the chain and its 25
-    rows of f with coefficients in [-64, 64] and degree deg g."""
+    rows of f with coefficients in [-64, 64] and degree deg g, then two
+    rows at the edges of the row's fixed point: Q_k = x - c_k at the middle
+    key k (its row holds only from key k + 1) and a row over p^2."""
     for p, g, depth, branch in [(p, g, d, b) for p, g, d, bs in DEEP for b in bs]:
         chain = build_chain(ValuedFieldCtx(p), UniPoly(g), branch, depth)
         rng = random.Random(str(branch) + str(p))
-        yield (p, branch), chain, [UniPoly([rng.randrange(-64, 65) for _ in range(len(g))])
-                                   for _ in range(25)]
+        rows = [UniPoly([rng.randrange(-64, 65) for _ in range(len(g))]) for _ in range(25)]
+        rows += [chain.entry(len(chain.entries) // 2).Q,
+                 UniPoly([Fraction(rng.randrange(-64, 65), p ** 2) for _ in range(len(g))])]
+        yield (p, branch), chain, rows
 
 
 def test_probe_rows_value_fewer_digits(monkeypatch):
@@ -214,6 +222,59 @@ def test_each_probe_row_values_no_more_digits(monkeypatch):
             calls.clear()
             assert got == [ref_truncate(chain, i, f) for i in chain.star_positions]
             assert lazy <= len(calls), (name, f, lazy, len(calls))
+
+
+def _counted_rows(monkeypatch, chain, rows):
+    """Each row with the positions it sends to `truncate`, counted by a
+    wrapper bound in the module's globals, as a tracer binds it."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return truncate(*args)
+
+    monkeypatch.setattr(expandval, "truncate", counted)
+    out = []
+    for f in rows:
+        calls.clear()
+        out.append((expandval.truncations(chain, f), list(calls)))
+    monkeypatch.undo()
+    return out
+
+
+def test_probe_rows_hold_past_the_fixed_point(monkeypatch):
+    # the row values each position through `truncate` until a linear key
+    # leaves f's value below its gamma, and holds that value after it: the
+    # row of Q_k from key k + 1 on, the row of g never, as v_p(g(c_i)) is
+    # gamma_i (gamma_i + 1 at p = 2, where g's row shifts at every key, so
+    # g is not one of the probe rows); every deep branch makes fewer calls
+    # than positions
+    for name, chain, rows in _probe_rows():
+        star = chain.star_positions
+        rows = rows + [chain.g]
+        got = _counted_rows(monkeypatch, chain, rows)
+        for f, (row, calls) in zip(rows, got):
+            assert row == [ref_truncate(chain, i, f) for i in star], (name, f)
+            assert calls == star[:len(calls)], (name, f, calls)
+        k = len(chain.entries) // 2
+        assert got[-3][1] == star[:k + 2], name
+        assert got[-1][1] == star, name
+        assert sum(len(calls) for _, calls in got) < len(rows) * len(star), name
+
+
+def test_row_off_the_congruence_values_every_position(monkeypatch):
+    # linear keys x - c built by hand at p = 3, for f = x: the row holds
+    # v_3(f(1)) = 0 below gamma 2, but c = 3 is not 1 mod 9 and truncates
+    # to 1, which the row holds in turn; c = 12 is 3 mod 9, but its gamma 0
+    # is below 2, and it truncates to 0
+    ctx = ValuedFieldCtx(3)
+    keys = [(0, 0), (1, 2), (3, 2), (12, 0)]
+    entries = tuple(_entry(ctx, k, UniPoly((-c, 1)), gamma) for k, (c, gamma) in enumerate(keys))
+    chain = KeyChain(ctx, UniPoly((-2, 0, 1)), entries, "prefix-of-infinite-plateau", "full")
+    f = UniPoly((0, 1))
+    [(row, calls)] = _counted_rows(monkeypatch, chain, [f])
+    assert calls == chain.star_positions
+    assert row == [ref_truncate(chain, i, f) for i in calls] == [0, 0, 1, 0]
 
 
 def test_entry_is_the_frozen_dataclass_instance():
