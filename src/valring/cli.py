@@ -14,7 +14,9 @@ import json
 import random
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_str
 from math import gcd
 
@@ -42,6 +44,8 @@ MAX_DEPTH = 256
 # bounds the nesting of a config's arrays and objects (configs nest at most
 # 5 levels), checked before decoding so that no recursion limit decides it
 MAX_NESTING = 32
+# bounds the built chains one process keeps for later jobs (`_built`)
+CHAIN_MEMO_SIZE = 16
 
 _DECIMAL_INT = re.compile(r"-?[0-9]+")
 # Fraction's decimal and exponent forms: "<whole>.<frac>e<exp>" is the int
@@ -284,7 +288,19 @@ class JobConfig:
             raise MalformedInput(f"seed must be an integer, got {self.seed!r}")
 
     def chain(self) -> KeyChain:
-        return build_chain(self.ctx, self.g, self.branch, self.depth, self.mode)
+        """The job's own chain: a copy of the process's built chain for
+        this config, sharing its frozen entries and starting with an empty
+        cache, so that no job reads what another job's caches hold."""
+        branch = self.branch if self.branch == "unique" else tuple(map(tuple, self.branch))
+        return replace(_built(self.ctx, self.g, branch, self.depth, self.mode))
+
+
+@lru_cache(maxsize=CHAIN_MEMO_SIZE)
+def _built(ctx: ValuedFieldCtx, g: UniPoly, branch, depth: int, mode: str) -> KeyChain:
+    """build_chain, kept for the last CHAIN_MEMO_SIZE configs a process
+    asked for; a build that raises is not kept, so a rejection or an
+    interrupted build is rebuilt on every job."""
+    return build_chain(ctx, g, branch, depth, mode)
 
 
 # -- document builders ----------------------------------------------------------

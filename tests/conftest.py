@@ -3,6 +3,7 @@ import random
 import pytest
 
 from valring.algebra import INF, UniPoly, ValuedFieldCtx, _iexpand, _intval
+from valring.cli import _built
 from valring.errors import MalformedDivisor, MalformedInput
 from valring.keychain import build_chain
 
@@ -14,6 +15,13 @@ GC = UniPoly((7, 0, 1))            # x^2 + 7, split branch eta = 3 mod 8
 GD = UniPoly((3, 8, 5, 2, 1))      # x^4 + 2x^3 + 5x^2 + 8x + 3
 
 BRANCH_C = [[0, 0]]
+
+
+@pytest.fixture(autouse=True)
+def cold_chain_memo():
+    """Every test starts with no built chain kept, as a fresh process
+    does: `cli.run` reuses the chains of earlier jobs in the process."""
+    _built.cache_clear()
 
 
 @pytest.fixture(scope="session")
