@@ -698,12 +698,6 @@ def _nu_hensel(ctx: ValuedFieldCtx, g: UniPoly, seed: ResidueClass, h: UniPoly,
 # crossover of the two routes' `extend_by` times (see CHANGES.md)
 _ENUM_LIMIT = 4096
 
-# Fields of at most this many elements factor by first dividing out the
-# roots that enumeration finds (`ResidueField.roots`): the measured crossover
-# on degrees 2-4, which F_64 already lost (see CHANGES.md).  Larger fields
-# keep the general path, polynomial in log q.
-_ROOT_LIMIT = 61
-
 
 def _digits(n: int, p: int, k: int) -> tuple:
     """The k base-p digits of n, least significant first."""
@@ -971,37 +965,19 @@ class ResidueField:
         canonical order: by degree, then c_0, c_1, ... compared in turn as
         ints.
 
-        Over at most `_ROOT_LIMIT` elements each root is divided out with its
-        multiplicity first; the root-free rest is irreducible at degree <= 3.
-        What remains takes squarefree decomposition, distinct-degree
-        factorization and Cantor-Zassenhaus equal-degree splitting (von zur
-        Gathen and Gerhard, Modern Computer Algebra, ch. 14), with splitting
-        polynomials drawn from a generator seeded inside the call.  The
-        factors are then sorted."""
+        Squarefree decomposition, distinct-degree factorization and
+        Cantor-Zassenhaus equal-degree splitting (von zur Gathen and Gerhard,
+        Modern Computer Algebra, ch. 14), with splitting polynomials drawn
+        from a generator seeded inside the call, then sorted.  No element is
+        enumerated, so the cost is polynomial in log q."""
         f = self.poly_monic(self.poly_norm(f))
         if len(f) < 3:
             return [(f, 1)] if len(f) == 2 else []
-        out = []
-        if self.q <= _ROOT_LIMIT:
-            rest = f
-            for a in self.roots(f):
-                lin, mult = (self.neg(a), 1), 0
-                quot, rem = self.poly_divmod(rest, lin)
-                while not rem:
-                    rest, mult = quot, mult + 1
-                    quot, rem = self.poly_divmod(rest, lin)
-                out.append((lin, mult))
-            # the rest has no root: at degree <= 3 it is 1 or irreducible
-            if len(rest) <= 4:
-                out += [(rest, 1)] if len(rest) > 1 else []
-                rest = ()
-            f = rest
-        if f:
-            rng = random.Random(0)
-            out += [(fac, mult)
-                    for part, mult in self._squarefree(f)
-                    for d, same in self._distinct_degree(part)
-                    for fac in self._equal_degree(same, d, rng)]
+        rng = random.Random(0)
+        out = [(fac, mult)
+               for part, mult in self._squarefree(f)
+               for d, same in self._distinct_degree(part)
+               for fac in self._equal_degree(same, d, rng)]
         return sorted(out, key=lambda fm: (len(fm[0]), fm[0]))
 
     def _squarefree(self, f):

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import (INF, UniPoly, _ieval, _iexpand, _intval, _new, _scaled, _set, _taylor,
-                      is_finite, qexpand)
+from .algebra import (INF, UniPoly, _ieval, _iexpand, _intval, _scaled, _taylor, is_finite,
+                      qexpand)
 from .errors import InsufficientDepth, MalformedInput
 from .keychain import KeyChain, segment
 from .xpoly import XPoly, mu0
@@ -173,18 +173,14 @@ def _cascade(chain: KeyChain, pending, k: int):
 
 def _assemble(chain: KeyChain, anchor: int, pending, den: int) -> FullExpansion:
     """Collect constant (digit, exponents) pairs over den into an
-    expansion, built past the frozen __init__ as `keychain._entry` builds
-    a chain entry."""
+    expansion."""
     nums = {}
     for d, mono in pending:
         m = mono[::-1]
         nums[m] = nums.get(m, 0) + d[0]
     poly = XPoly._make(nums, den)
     appearing = sorted({k for m in poly.nums for k, _ in m}, reverse=True)
-    out = _new(FullExpansion)
-    _set(out, "__dict__", {"anchor": anchor, "poly": poly, "nu_value": mu0(chain.ctx, poly),
-                           "index_tuple": tuple(appearing)})
-    return out
+    return FullExpansion(anchor, poly, mu0(chain.ctx, poly), tuple(appearing))
 
 
 def full_expansion(chain: KeyChain, i: int, f: UniPoly, digits=None) -> FullExpansion:

@@ -31,8 +31,6 @@ from .algebra import (
     _ieval,
     _iexpand,
     _intval,
-    _new,
-    _set,
     hensel_root,
     is_finite,
     nu_oracle,
@@ -72,14 +70,9 @@ class ChainEntry:
 def _entry(ctx: ValuedFieldCtx, position: int, Q: UniPoly, gamma: int,
            res_field=None, z=None, emb_prev=None) -> ChainEntry:
     # (res_field, z, emb_prev): the residue data of a finished entry.  Q is
-    # monic integral, so its numerators over a are in lowest terms.  Built
-    # past the frozen __init__, as `_QPoly._raw` builds a polynomial
+    # monic integral, so its numerators over a are in lowest terms
     a = ctx.p ** gamma
-    out = _new(ChainEntry)
-    _set(out, "__dict__", {"position": position, "Q": Q, "gamma": gamma, "a": a,
-                           "Qt": UniPoly._raw(Q.nums, a), "res_field": res_field,
-                           "z": z, "emb_prev": emb_prev})
-    return out
+    return ChainEntry(position, Q, gamma, a, UniPoly._raw(Q.nums, a), res_field, z, emb_prev)
 
 
 @dataclass(frozen=True)

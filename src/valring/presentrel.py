@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import _intval, _new, _set, pval
+from .algebra import _intval, _set, pval
 from .errors import MalformedInput, NotInIdeal
 from .expandval import full_expansion
 from .keychain import IMAX, KeyChain, segment, strongly_monic
@@ -93,11 +93,7 @@ def _relation(chain: KeyChain, ell, i: int) -> RelationGen:
         kind = "I1"
     if mu0(chain.ctx, qpoly) != 0:
         raise AssertionError("relation body fails mu0 = 0")
-    # built past the frozen __init__, as `keychain._entry` builds an entry
-    gen = _new(RelationGen)
-    _set(gen, "__dict__", {"kind": kind, "target": ell, "source": i, "b": b,
-                           "Q_poly": qpoly, "level": seg.offset(i), "relation_poly": rel})
-    return gen
+    return RelationGen(kind, ell, i, b, qpoly, seg.offset(i), rel)
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,19 @@
-"""Residue-field factorization that splits off roots first.
+"""Residue-field factorization by squarefree, distinct-degree and
+equal-degree splitting, on every field.
 
-On fields of at most `algebra._ROOT_LIMIT` elements `factor_monic` divides
-out each root that `ResidueField.roots` finds by enumeration, with its
-multiplicity, takes a root-free rest of degree <= 3 as irreducible and sends
-only a rest of degree >= 4 to squarefree, distinct-degree and equal-degree
-splitting.  These tests hold it to references that share none of that:
+`factor_monic` takes one route whatever the field size, and finds no root by
+enumerating elements.  These tests hold it, and the root finder
+`ResidueField.roots`, to independent references:
 
 - `_factor_table`: every monic polynomial up to a degree, factored by
   multiplying monic irreducibles together (unique factorization turned
   around; it needs only `poly_mul`), itself checked against
   `test_algebra._trial_factor`;
-- `test_algebra.TupleField`, the general path on digit-tuple elements;
+- `test_algebra.TupleField`, the same algorithms written separately on
+  digit-tuple elements;
 - brute-force root search in `TupleField` arithmetic;
-- the general path itself, with `_ROOT_LIMIT` patched to 0.
+- products of known irreducibles and roots, including degree-4 rests
+  without a root.
 """
 
 import random
@@ -43,23 +44,9 @@ def _factor_table(fld, max_deg):
     return table
 
 
-def _prime_power(q):
-    """(p, k) with p^k = q, or None when q is no prime power."""
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    k = 0
-    while q % p == 0:
-        q, k = q // p, k + 1
-    return (p, k) if q == 1 else None
-
-
 def _boundary_fields():
-    """The largest field of at most `_ROOT_LIMIT` elements and the smallest
-    of more."""
-    lim = algebra._ROOT_LIMIT
-    below = max(q for q in range(2, lim + 1) if _prime_power(q))
-    above = next(q for q in range(lim + 1, 2 * lim + 2) if _prime_power(q))
-    return (ResidueField.of_degree(*_prime_power(below)),
-            ResidueField.of_degree(*_prime_power(above)))
+    """F_61 and F_64: a prime field and an extension field of similar size."""
+    return ResidueField.of_degree(61, 1), ResidueField.of_degree(2, 6)
 
 
 # F_2, F_3, F_4, F_5, F_7, F_8 and F_9 as (p, k)
@@ -91,7 +78,6 @@ class TestEveryMonic:
     @pytest.mark.parametrize("p, k, max_deg", EVERY)
     def test_every_monic_matches_table(self, p, k, max_deg):
         fld = ResidueField.of_degree(p, k)
-        assert fld.q <= algebra._ROOT_LIMIT
         table = _factor_table(fld, max_deg)
         for d in range(2, max_deg + 1):
             for f in fld.monic_polys(d):
@@ -108,7 +94,7 @@ class TestEveryMonic:
 
 
 class TestRootFreeRest:
-    """Rests that the root route must not take as irreducible."""
+    """Products without a root that must not be taken as irreducible."""
 
     @pytest.mark.parametrize("p, k", FIELDS)
     def test_products_of_irreducible_quadratics(self, p, k):
@@ -171,44 +157,21 @@ class TestRoots:
 
 
 class TestRootLimit:
-    """`_ROOT_LIMIT` only picks a route: patched to 0 every field takes the
-    general path, patched to infinity every field splits off roots, and the
-    factorizations agree."""
+    """Fields of every size take the one route: factors multiply back, the
+    factors of degree 2 or 3 have no root, and no element is enumerated."""
 
-    @staticmethod
-    def _both(monkeypatch, compute):
-        out = []
-        for limit in (0, float("inf")):
-            monkeypatch.setattr(algebra, "_ROOT_LIMIT", limit)
-            out.append(compute())
-        return out
-
-    @pytest.mark.parametrize("p, k", FIELDS)
-    def test_routes_agree(self, p, k, monkeypatch):
-        fld = ResidueField.of_degree(p, k)
-        rng = random.Random(29 * p + k)
-        quads = _irreducible_quadratics(fld)
-        polys = [_random_monic(fld, rng, d) for d in (2, 3, 4, 5, 6) for _ in range(12)]
-        polys += [fld.poly_mul(a, b) for a, b in zip(quads, quads[1:] + quads[:1])][:6]
-        polys += [fld.poly_mul(fld.poly_mul(a, a), (rng.randrange(fld.q), 1)) for a in quads[:4]]
-        general, by_roots = self._both(monkeypatch, lambda: [fld.factor_monic(f) for f in polys])
-        assert general == by_roots
-
-    def test_boundary_fields(self, monkeypatch):
-        """Degrees 2 and 3 over the largest field the root route takes and the
-        smallest it leaves: both routes agree, the factors multiply back to f
+    def test_boundary_fields(self):
+        """Degrees 2 and 3 over F_61 and F_64: the factors multiply back to f
         and a factor of degree 2 or 3 has no root, so it is irreducible."""
-        below, above = _boundary_fields()
-        assert below.q <= algebra._ROOT_LIMIT < above.q
-        for fld in (below, above):
+        f61, f64 = _boundary_fields()
+        assert (f61.q, f64.q) == (61, 64)
+        for fld in (f61, f64):
             rng = random.Random(fld.q)
             polys = [_random_monic(fld, rng, d) for d in (2, 3) for _ in range(25)]
             lin = [(rng.randrange(fld.q), 1) for _ in range(3)]
             polys += [fld.poly_mul(lin[0], lin[0]), fld.poly_mul(fld.poly_mul(lin[1], lin[1]), lin[1]),
                       fld.poly_mul(fld.poly_mul(lin[1], lin[1]), lin[2])]
             want = [fld.factor_monic(f) for f in polys]
-            general, by_roots = self._both(monkeypatch, lambda: [fld.factor_monic(f) for f in polys])
-            assert general == by_roots == want
             for f, facs in zip(polys, want):
                 prod = (1,)
                 for g, m in facs:
@@ -219,8 +182,8 @@ class TestRootLimit:
                 assert prod == f
 
     def test_large_fields_never_enumerate(self, monkeypatch):
-        """Above the limit no element is enumerated, so a field of about 10^9
-        elements factors in time polynomial in log q."""
+        """No element is enumerated, so a field of about 10^9 elements factors
+        in time polynomial in log q."""
         seen = []
         real = ResidueField.roots
 
@@ -238,16 +201,5 @@ class TestRootLimit:
         above.factor_monic(above.poly_mul((1, 1), (2, 1)))
         assert seen == []
         small = ResidueField(5)
-        small.factor_monic((1, 0, 1))
-        assert seen == [5]
-
-    def test_only_the_general_path_seeds_a_generator(self, monkeypatch):
-        made = []
-        real = random.Random
-        monkeypatch.setattr(algebra.random, "Random", lambda *a: (made.append(a), real(*a))[1])
-        f2 = ResidueField(2)
-        f2.factor_monic((0, 1, 1, 1))           # y (y^2 + y + 1): a root, then a quadratic
-        f2.factor_monic((1, 1, 0, 1))           # irreducible cubic
-        assert made == []
-        f2.factor_monic((1, 0, 1, 0, 1))        # (y^2 + y + 1)^2: root-free of degree 4
-        assert made == [(0,)]
+        assert small.factor_monic((1, 0, 1)) == [((2, 1), 1), ((3, 1), 1)]
+        assert seen == []

@@ -278,8 +278,8 @@ def test_row_off_the_congruence_values_every_position(monkeypatch):
 
 
 def test_entry_is_the_frozen_dataclass_instance():
-    # `_entry` sets the instance dict at once; the entry must still compare,
-    # hash, print and replace like ChainEntry(...) and refuse assignment
+    # `_entry` builds through ChainEntry's own constructor; the entry must
+    # compare, hash, print and replace like ChainEntry(...) and refuse assignment
     chain = build_chain(CTX2, GC, BRANCH_C, depth=4)
     for ent in chain.entries[:-1]:
         a = CTX2.p ** ent.gamma
